@@ -1,7 +1,7 @@
 #include "common/vec.h"
 
+#include <algorithm>
 #include <atomic>
-#include <cstring>
 #include <mutex>
 
 #include "common/logging.h"
@@ -39,7 +39,7 @@ orIntoScalar(uint64_t *dst, const uint64_t *src, size_t n)
 void
 clearScalar(uint64_t *dst, size_t n)
 {
-    std::memset(dst, 0, n * sizeof(uint64_t));
+    std::fill_n(dst, n, uint64_t{0}); // n == 0 may come with a null dst
 }
 
 void

@@ -21,13 +21,14 @@
  *    is small enough to determinize (the profiler's hot partitions);
  *    falls back to the dense core when the budget is exceeded.
  *
- * The default *auto* mode probes the live-set density over the first
- * cycles on the sparse core and hands the in-flight run over to the
- * dense core when the automaton runs dense (see docs/PERFORMANCE.md).
- * After a run that crossed over, small automata (<= kMaxAutoDfaStates)
- * are determinized once and later runs execute on the DFA table from
- * cycle 0 — the same measured-work signal driving one more handover.
- * SPARSEAP_ENGINE=sparse|dense|dfa|auto overrides.
+ * The default *auto* mode runs the automaton's DFA from cycle 0
+ * whenever one is already built (at daemon load, by a store attach, or
+ * by an earlier nomination). Otherwise it probes the live-set density
+ * over the first cycles on the sparse core and hands the in-flight run
+ * over to the dense core when the automaton runs dense (see
+ * docs/PERFORMANCE.md); that handover nominates small automata
+ * (<= kMaxAutoDfaStates) for one determinization attempt at the next
+ * run. SPARSEAP_ENGINE=sparse|dense|dfa|auto overrides.
  */
 
 #ifndef SPARSEAP_SIM_ENGINE_H
@@ -150,7 +151,7 @@ class Engine
     /**
      * The engine is a thin shell over a suspendable session
      * (sim/session.h): run() = restart + one whole-input feed. Cross-
-     * run state — the one-shot DFA selection, the dense core, report-
+     * run state — a pending DFA nomination, the dense core, report-
      * capacity reuse — lives in the session, so the chunked and
      * whole-input paths are one implementation.
      */

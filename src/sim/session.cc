@@ -85,12 +85,11 @@ EngineSession::restart(HotStateProfiler *profiler)
     // A handed-over auto stream nominates determinization for the
     // *next* stream (Engine::run parity: the measured work that chose
     // the dense core also argues the automaton runs hot enough to
-    // determinize). One capped attempt per session.
-    if (pending_dfa_nomination_ && !dfa_checked_ &&
-        fa_.size() <= Engine::kMaxAutoDfaStates) {
-        dfa_checked_ = true;
-        dfa_ = fa_.ensureHotDfa();
-    }
+    // determinize). This is the only determinization auto starts; the
+    // automaton caches its one attempt, bailout included.
+    if (pending_dfa_nomination_ &&
+        fa_.size() <= Engine::kMaxAutoDfaStates)
+        fa_.ensureHotDfa();
     pending_dfa_nomination_ = false;
 
     offset_ = 0;
@@ -104,54 +103,42 @@ EngineSession::restart(HotStateProfiler *profiler)
     skip_base_symbols_ = 0;
     skip_base_jumps_ = 0;
 
-    if (profiler) {
-        // Profiling needs the per-state enable hooks only the sparse
-        // core has; profile prefixes are short.
+    // Profiling needs the per-state enable hooks only the sparse core
+    // has; profile prefixes are short.
+    if (profiler)
         profiler->markStarts(fa_);
-        phase_ = Phase::Sparse;
-        core_->reset(config_.alphabet, profiler, /*install_starts=*/true);
-        return;
-    }
+    startCore(profiler ? EngineMode::Sparse : config_.mode, profiler);
+}
 
-    switch (config_.mode) {
-    case EngineMode::Sparse:
-        phase_ = Phase::Sparse;
-        core_->reset(config_.alphabet, nullptr, /*install_starts=*/true);
-        break;
-    case EngineMode::Dense:
+void
+EngineSession::startCore(EngineMode mode, HotStateProfiler *profiler)
+{
+    // Pinned dfa determinizes (a bailout, logged by HotDfa::build, runs
+    // dense). Auto runs the automaton's DFA from cycle 0 whenever one is
+    // built — at daemon load, by a store attach, or by an earlier
+    // stream's nomination — and never determinizes here.
+    if (mode == EngineMode::Dfa || mode == EngineMode::Auto) {
+        dfa_ = mode == EngineMode::Dfa ? fa_.ensureHotDfa()
+                                       : fa_.hotDfaIfBuilt();
+        if (dfa_) {
+            phase_ = Phase::Dfa;
+            return;
+        }
+    }
+    if (mode == EngineMode::Dense || mode == EngineMode::Dfa) {
         ensureDense();
         dense_->reset(/*install_starts=*/true);
         phase_ = Phase::Dense;
-        break;
-    case EngineMode::Dfa:
-        if (!dfa_checked_) {
-            dfa_checked_ = true;
-            dfa_ = fa_.ensureHotDfa();
-            if (!dfa_)
-                debugLog("dfa mode: budget bailout on ", fa_.size(),
-                         "-state automaton, using the dense core");
-        }
-        if (dfa_) {
-            phase_ = Phase::Dfa;
-        } else {
-            ensureDense();
-            dense_->reset(/*install_starts=*/true);
-            phase_ = Phase::Dense;
-        }
-        break;
-    case EngineMode::Auto:
-        if (dfa_) {
-            phase_ = Phase::Dfa;
-            break;
-        }
-        core_->reset(config_.alphabet, nullptr, /*install_starts=*/true);
-        // The probe needs more than kProbeCycles stream symbols to ever
-        // decide; with fewer the stream just ran sparse — exactly the
-        // n > kProbeCycles gate of a whole-input run, evaluated lazily.
-        phase_ = fa_.size() >= Engine::kMinDenseStates ? Phase::Probe
-                                                       : Phase::Sparse;
-        break;
+        return;
     }
+    core_->reset(config_.alphabet, profiler, /*install_starts=*/true);
+    // The probe needs more than kProbeCycles stream symbols to ever
+    // decide; with fewer the stream just ran sparse — exactly the
+    // n > kProbeCycles gate of a whole-input run, evaluated lazily.
+    phase_ = mode == EngineMode::Auto &&
+                     fa_.size() >= Engine::kMinDenseStates
+                 ? Phase::Probe
+                 : Phase::Sparse;
 }
 
 void
@@ -305,7 +292,6 @@ EngineSession::suspend() const
     snap.probeWork = probe_work_;
     snap.dfaState = dfa_state_;
     snap.dfaScanning = dfa_scanning_;
-    snap.dfaChecked = dfa_checked_;
     snap.pendingDfaNomination = pending_dfa_nomination_;
     snap.stats = stats_;
     switch (phase_) {
@@ -332,15 +318,18 @@ EngineSession::resume(const Snapshot &snap)
     probe_work_ = snap.probeWork;
     dfa_state_ = snap.dfaState;
     dfa_scanning_ = snap.dfaScanning;
-    dfa_checked_ = snap.dfaChecked;
     pending_dfa_nomination_ = snap.pendingDfaNomination;
     stats_ = snap.stats;
     reports_.clear();
     skip_base_symbols_ = 0;
     skip_base_jumps_ = 0;
 
-    if (dfa_checked_ && !dfa_)
-        dfa_ = fa_.ensureHotDfa(); // deterministic rebuild or cache hit
+    // An auto stream parked before its first symbol has no state to
+    // carry: it starts over like restart(), on a DFA built since.
+    if (config_.mode == EngineMode::Auto && offset_ == 0) {
+        startCore(EngineMode::Auto, nullptr);
+        return;
+    }
 
     switch (phase_) {
     case Phase::Sparse:
@@ -357,6 +346,9 @@ EngineSession::resume(const Snapshot &snap)
         skip_base_jumps_ = snap.stats.skipJumps;
         break;
     case Phase::Dfa:
+        // The table the stream ran on: a cache hit on the same
+        // automaton, a deterministic rebuild on an equivalent one.
+        dfa_ = fa_.ensureHotDfa();
         SPARSEAP_ASSERT(dfa_ != nullptr,
                         "resuming a DFA-phase stream requires the "
                         "automaton to determinize under the current "

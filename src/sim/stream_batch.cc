@@ -83,13 +83,12 @@ StreamBatchRunner::runLane(
         sessions.back()->restart();
     }
 
-    // One automaton + one config resolve every session of the batch to
-    // the same initial phase, so the lane is homogeneous: either all
-    // streams run the DFA table (fused symbol interleave) or none do
-    // (quantum rotation). A fresh auto session never starts on the DFA
-    // (the nomination is a cross-stream decision), so mid-stream phase
-    // changes — auto handovers — happen per stream on the NFA side and
-    // never enter the fused path.
+    // One automaton + one config: if the first session starts on the
+    // DFA table, every later one does too (an automaton's DFA, once
+    // built, stays built), so the lane runs the fused symbol
+    // interleave; otherwise quantum rotation, which feeds any phase.
+    // Mid-stream phase changes — auto handovers — happen per stream on
+    // the NFA side and never enter the fused path.
     const bool fused = sessions[0]->dfaPhase();
 
     std::vector<size_t> cursor(m, 0);

@@ -105,7 +105,7 @@ class Registry
         }
         gauges_.push_back({name});
         gauge_values_.emplace_back(0);
-        gauge_used_.push_back(false);
+        gauge_used_.emplace_back(false);
         return static_cast<uint32_t>(gauges_.size() - 1);
     }
 
@@ -113,7 +113,7 @@ class Registry
     gaugeSet(uint32_t id, int64_t v)
     {
         gauge_values_[id].store(v, std::memory_order_relaxed);
-        gauge_used_[id] = true;
+        gauge_used_[id].store(true, std::memory_order_relaxed);
     }
 
     void
@@ -125,7 +125,7 @@ class Registry
                !g.compare_exchange_weak(cur, v,
                                         std::memory_order_relaxed)) {
         }
-        gauge_used_[id] = true;
+        gauge_used_[id].store(true, std::memory_order_relaxed);
     }
 
     /** The calling thread's cell for @p id, growing its block (under
@@ -170,7 +170,7 @@ class Registry
         for (const CounterDesc &c : counters_)
             s.counters[c.name] = sum_cell(c.cell);
         for (uint32_t i = 0; i < gauges_.size(); ++i) {
-            if (gauge_used_[i]) {
+            if (gauge_used_[i].load(std::memory_order_relaxed)) {
                 s.gauges[gauges_[i].name] =
                     gauge_values_[i].load(std::memory_order_relaxed);
             }
@@ -229,7 +229,7 @@ class Registry
     std::vector<HistDesc> hists_;
     std::vector<GaugeDesc> gauges_;
     std::deque<std::atomic<int64_t>> gauge_values_;
-    std::deque<bool> gauge_used_;
+    std::deque<std::atomic<bool>> gauge_used_;
     std::vector<std::shared_ptr<ThreadCells>> all_cells_;
 };
 

@@ -22,6 +22,8 @@
 #include "serve/match_service.h"
 #include "sim/engine.h"
 #include "store/format.h"
+#include "telemetry/labels.h"
+#include "telemetry/metrics.h"
 #include "workloads/registry.h"
 
 using namespace sparseap;
@@ -218,51 +220,73 @@ TEST(MatchService, ParkedBytesTrackSnapshotSizes)
     EXPECT_GT(stats.parkedBytes, 0u);
 }
 
+/**
+ * Streams on the DFA table take feedMany's fused interleave — for a
+ * tenant pinned to dfa, and for a default-config (auto) tenant whose
+ * automaton was determinized before serving, as apserved does at load:
+ * auto runs a built DFA from each stream's first byte.
+ */
 TEST(MatchService, FeedManyUsesFusedDfaPath)
 {
     ServiceFixture fx({"Bro217"});
     ASSERT_NE(fx.automata[0]->ensureHotDfa(), nullptr)
         << "Bro217@5% must determinize for this test";
-    MatchService service;
-    SessionConfig session;
-    session.mode = EngineMode::Dfa;
-    service.addTenant("Bro217", fx.automata[0], session);
-
-    constexpr size_t kStreams = 8;
     const auto &input = fx.inputs[0];
-    for (size_t s = 0; s < kStreams; ++s)
-        ASSERT_EQ(service.open("Bro217", s), OpStatus::Ok);
-
-    std::vector<ReportList> collected(kStreams);
-    const size_t chunk = 4096;
-    for (size_t off = 0; off < input.size(); off += chunk) {
-        const size_t n = std::min(chunk, input.size() - off);
-        std::vector<FeedEntry> entries;
-        for (size_t s = 0; s < kStreams; ++s)
-            entries.push_back({s, {input.data() + off, n}});
-        std::vector<ReportGroup> groups;
-        ASSERT_EQ(service.feedMany("Bro217", entries, &groups),
-                  OpStatus::Ok);
-        ASSERT_EQ(groups.size(), kStreams);
-        for (size_t s = 0; s < kStreams; ++s) {
-            EXPECT_EQ(groups[s].streamId, s);
-            collected[s].insert(collected[s].end(),
-                                groups[s].reports.begin(),
-                                groups[s].reports.end());
-        }
-    }
-
-    Engine engine(*fx.automata[0], EngineMode::Dfa);
+    Engine engine(*fx.automata[0], EngineMode::Sparse);
     const uint64_t want = sortedDigest(engine.run(input).reports);
-    for (size_t s = 0; s < kStreams; ++s) {
-        ReportGroup tail;
-        ASSERT_EQ(service.close("Bro217", s, &tail), OpStatus::Ok);
-        collected[s].insert(collected[s].end(), tail.reports.begin(),
-                            tail.reports.end());
-        EXPECT_EQ(sortedDigest(std::move(collected[s])), want)
-            << "stream " << s;
+
+    for (EngineMode mode : {EngineMode::Dfa, EngineMode::Auto}) {
+        const std::string tenant =
+            std::string("Bro217-") + engineModeName(mode);
+        SCOPED_TRACE(tenant);
+        MatchService service;
+        SessionConfig session;
+        session.mode = mode;
+        service.addTenant(tenant, fx.automata[0], session);
+
+        // The tenant's first stream steps the table.
+        const std::string dfa_cycles =
+            telemetry::labeledName("serve.dfa_cycles", tenant);
+        ASSERT_EQ(service.open(tenant, 100), OpStatus::Ok);
+        ReportGroup first;
+        ASSERT_EQ(service.feed(tenant, 100, {input.data(), 4096}, &first),
+                  OpStatus::Ok);
+        ASSERT_EQ(service.close(tenant, 100, &first), OpStatus::Ok);
+        EXPECT_EQ(telemetry::snapshot().counters[dfa_cycles], 4096u);
+
+        constexpr size_t kStreams = 8;
+        for (size_t s = 0; s < kStreams; ++s)
+            ASSERT_EQ(service.open(tenant, s), OpStatus::Ok);
+
+        std::vector<ReportList> collected(kStreams);
+        const size_t chunk = 4096;
+        for (size_t off = 0; off < input.size(); off += chunk) {
+            const size_t n = std::min(chunk, input.size() - off);
+            std::vector<FeedEntry> entries;
+            for (size_t s = 0; s < kStreams; ++s)
+                entries.push_back({s, {input.data() + off, n}});
+            std::vector<ReportGroup> groups;
+            ASSERT_EQ(service.feedMany(tenant, entries, &groups),
+                      OpStatus::Ok);
+            ASSERT_EQ(groups.size(), kStreams);
+            for (size_t s = 0; s < kStreams; ++s) {
+                EXPECT_EQ(groups[s].streamId, s);
+                collected[s].insert(collected[s].end(),
+                                    groups[s].reports.begin(),
+                                    groups[s].reports.end());
+            }
+        }
+
+        for (size_t s = 0; s < kStreams; ++s) {
+            ReportGroup tail;
+            ASSERT_EQ(service.close(tenant, s, &tail), OpStatus::Ok);
+            collected[s].insert(collected[s].end(), tail.reports.begin(),
+                                tail.reports.end());
+            EXPECT_EQ(sortedDigest(std::move(collected[s])), want)
+                << "stream " << s;
+        }
+        EXPECT_GT(service.stats().fusedFeeds, 0u);
     }
-    EXPECT_GT(service.stats().fusedFeeds, 0u);
 }
 
 TEST(MatchService, FeedManyDuplicateStreamIdsFeedInOrder)

@@ -397,6 +397,174 @@ TEST(Session, ResolvedModeTracksExecution)
     }
 }
 
+/** @p abbr at 5% scale with a 4 KiB input (seed 7, like the rest). */
+struct SmallWorkload
+{
+    Workload w;
+    std::vector<uint8_t> input;
+
+    explicit SmallWorkload(const char *abbr)
+        : w(generateWorkload(abbr, 7, 5))
+    {
+        Rng input_rng(20180621);
+        size_t bytes = 4096;
+        if (w.inputBytesCap > 0)
+            bytes = std::min(bytes, w.inputBytesCap);
+        input = synthesizeInput(w.input, bytes, input_rng);
+    }
+};
+
+ReportList
+sorted(ReportList reports)
+{
+    std::sort(reports.begin(), reports.end());
+    return reports;
+}
+
+/**
+ * Auto runs an already-built DFA from cycle 0: on Bro217 (below
+ * kMinDenseStates, so it never probes) and Brill (where the probe
+ * declines), a DFA built before the stream starts is what the stream
+ * runs — and its reports are the pinned sparse core's.
+ */
+TEST(Session, AutoRunsBuiltDfaFromFirstChunk)
+{
+    for (const char *abbr : {"Bro217", "Brill"}) {
+        SCOPED_TRACE(abbr);
+        const SmallWorkload sw(abbr);
+        FlatAutomaton fa(sw.w.app);
+        ASSERT_NE(fa.ensureHotDfa(), nullptr)
+            << abbr << "@5% must determinize for this test";
+
+        SessionConfig config; // default alphabet, like a served stream
+        config.mode = EngineMode::Auto;
+        EngineSession session(fa, config);
+        session.restart();
+        EXPECT_EQ(session.resolvedMode(), EngineMode::Dfa);
+        session.feed(std::span(sw.input).first(1024));
+        EXPECT_TRUE(session.dfaPhase());
+        EXPECT_TRUE(session.stats().usedDfa);
+        session.feed(std::span(sw.input).subspan(1024));
+        EXPECT_FALSE(session.stats().usedDenseCore);
+
+        const SimResult pinned =
+            wholeRun(fa, EngineMode::Sparse, true, sw.input);
+        ASSERT_FALSE(pinned.reports.empty())
+            << "test needs a reporting input";
+        EXPECT_EQ(sorted(session.takeReports()), sorted(pinned.reports));
+
+        // Engine::run follows the same automaton-level rule.
+        const SimResult whole =
+            wholeRun(fa, EngineMode::Auto, true, sw.input);
+        EXPECT_TRUE(whole.usedDfa);
+        EXPECT_EQ(sorted(whole.reports), sorted(pinned.reports));
+    }
+}
+
+/** Parked anywhere along the stream, a DFA-phase auto stream resumes
+ *  on a fresh session and continues byte-identically on the table; a
+ *  stream parked at offset 0 before the DFA existed resumes on it. */
+TEST(Session, AutoDfaStreamSuspendResumes)
+{
+    for (const char *abbr : {"Bro217", "Brill"}) {
+        const SmallWorkload sw(abbr);
+        FlatAutomaton fa(sw.w.app);
+        SessionConfig config;
+        config.mode = EngineMode::Auto;
+        EngineSession early(fa, config);
+        early.restart();
+        ASSERT_FALSE(early.dfaPhase());
+        const EngineSession::Snapshot parked = early.suspend();
+        ASSERT_NE(fa.ensureHotDfa(), nullptr);
+        const std::span<const uint8_t> input(sw.input);
+
+        EngineSession whole(fa, config);
+        whole.restart();
+        whole.feed(input);
+        const ReportList want = whole.takeReports();
+
+        EngineSession late(fa, config);
+        late.resume(parked);
+        EXPECT_TRUE(late.dfaPhase()) << abbr;
+        late.feed(input);
+        EXPECT_EQ(late.takeReports(), want) << abbr;
+
+        for (size_t split : {size_t{0}, Engine::kProbeCycles,
+                             input.size() / 2, input.size()}) {
+            SCOPED_TRACE(std::string(abbr) + " split " +
+                         std::to_string(split));
+            EngineSession first(fa, config);
+            first.restart();
+            first.feed(input.first(split));
+            ReportList got = first.takeReports();
+
+            EngineSession second(fa, config);
+            second.resume(first.suspend());
+            EXPECT_TRUE(second.dfaPhase());
+            second.feed(input.subspan(split));
+            const ReportList tail = second.takeReports();
+            got.insert(got.end(), tail.begin(), tail.end());
+            EXPECT_EQ(got, want);
+            EXPECT_EQ(second.offset(), input.size());
+        }
+    }
+}
+
+/**
+ * Without a built DFA, auto is unchanged: Bro217 runs sparse, Brill
+ * probes and declines, both byte-identical to Engine::run on another
+ * DFA-less copy, and neither run determinizes anything. A handover is
+ * still the one trigger: it nominates determinization for the next
+ * stream, which then starts on the table.
+ */
+TEST(Session, AutoWithoutBuiltDfaProbesAsBefore)
+{
+    for (const char *abbr : {"Bro217", "Brill"}) {
+        SCOPED_TRACE(abbr);
+        const SmallWorkload sw(abbr);
+        FlatAutomaton fa(sw.w.app);
+        FlatAutomaton reference(sw.w.app);
+        // Bro217 is below the probe's size floor; Brill probes.
+        EXPECT_EQ(fa.size() >= Engine::kMinDenseStates,
+                  std::string(abbr) == "Brill");
+        const SimResult want =
+            wholeRun(reference, EngineMode::Auto, true, sw.input);
+        EXPECT_FALSE(want.usedDfa);
+        EXPECT_FALSE(want.usedDenseCore);
+
+        const SessionConfig config =
+            engineParityConfig(EngineMode::Auto, true, sw.input);
+        EngineSession session(fa, config);
+        session.restart();
+        EXPECT_EQ(session.resolvedMode(), EngineMode::Sparse);
+        session.feed(sw.input);
+        EXPECT_EQ(session.takeReports(), want.reports);
+        EXPECT_FALSE(session.stats().handedOver);
+        EXPECT_FALSE(session.stats().usedDfa);
+        session.restart();
+        EXPECT_EQ(session.resolvedMode(), EngineMode::Sparse);
+        EXPECT_EQ(fa.hotDfaIfBuilt(), nullptr);
+        EXPECT_EQ(reference.hotDfaIfBuilt(), nullptr);
+    }
+
+    Application app("dense", "D");
+    for (int i = 0; i < 300; ++i)
+        app.addNfa(compileRegex("ab", "p" + std::to_string(i)));
+    FlatAutomaton fa(app);
+    std::vector<uint8_t> input(1000, 'a');
+    for (size_t i = 1; i < input.size(); i += 2)
+        input[i] = 'b';
+    EngineSession session(fa, engineParityConfig(EngineMode::Auto, true,
+                                                 input));
+    session.restart();
+    session.feed(input);
+    EXPECT_TRUE(session.stats().handedOver);
+    EXPECT_EQ(fa.hotDfaIfBuilt(), nullptr);
+    session.restart();
+    EXPECT_NE(fa.hotDfaIfBuilt(), nullptr);
+    EXPECT_EQ(session.resolvedMode(), EngineMode::Dfa);
+}
+
 /** Empty chunks and empty streams are legal no-ops. */
 TEST(Session, EmptyChunksAreNoOps)
 {

@@ -7,6 +7,7 @@
  * session), and trace-session output covering every pipeline phase.
  */
 
+#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -19,7 +20,10 @@
 
 #include <gtest/gtest.h>
 
+#include "common/vec.h"
 #include "core/experiment.h"
+#include "regex/glushkov.h"
+#include "sim/engine.h"
 #include "spap/executor.h"
 #include "telemetry/metrics.h"
 #include "telemetry/snapshot_io.h"
@@ -113,6 +117,42 @@ TEST(TelemetryRegistry, GaugeSetAndMax)
     EXPECT_EQ(telemetry::snapshot().gauges.at("test.gauge"), 9);
     g.set(2); // set is last-write-wins, may lower
     EXPECT_EQ(telemetry::snapshot().gauges.at("test.gauge"), 2);
+}
+
+/**
+ * Engine::run sets the engine.simd_isa gauge on every run; concurrent
+ * runs beside snapshot() readers must not race on the registry's gauge
+ * cells (the thread-sanitizer leg runs this).
+ */
+TEST(TelemetryRegistry, GaugeSetsRaceFreeBesideSnapshots)
+{
+    Application app("gauge", "G");
+    app.addNfa(compileRegex("ab", "p"));
+    const FlatAutomaton fa(app);
+    std::vector<uint8_t> input(256, 'a');
+    for (size_t i = 1; i < input.size(); i += 2)
+        input[i] = 'b';
+
+    constexpr int kThreads = 4;
+    std::atomic<int> running{kThreads};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&] {
+            Engine engine(fa, EngineMode::Sparse);
+            for (int r = 0; r < 200; ++r)
+                EXPECT_EQ(engine.run(input).reports.size(), 128u);
+            running.fetch_sub(1);
+        });
+    }
+    int snapshots = 0;
+    while (running.load() > 0 || snapshots == 0) {
+        telemetry::snapshot();
+        ++snapshots;
+    }
+    for (std::thread &t : threads)
+        t.join();
+    EXPECT_EQ(telemetry::snapshot().gauges.at("engine.simd_isa"),
+              static_cast<int64_t>(simd::activeIsa()));
 }
 
 TEST(TelemetryRegistry, HistogramMetricAggregates)

@@ -169,17 +169,19 @@ main(int argc, char **argv)
                                                  [](const auto *) {}));
     }
 
+    // Handlers go in before the socket answers: a SIGTERM that lands
+    // right after the first reply must still drain through stop().
+    struct sigaction sa{};
+    sa.sa_handler = onSignal;
+    ::sigaction(SIGINT, &sa, nullptr);
+    ::sigaction(SIGTERM, &sa, nullptr);
+
     serve::Server server(&service, scfg);
     std::string error;
     if (!server.start(&error)) {
         std::fprintf(stderr, "apserved: %s\n", error.c_str());
         return 1;
     }
-
-    struct sigaction sa{};
-    sa.sa_handler = onSignal;
-    ::sigaction(SIGINT, &sa, nullptr);
-    ::sigaction(SIGTERM, &sa, nullptr);
 
     while (!g_stop.load())
         std::this_thread::sleep_for(std::chrono::milliseconds(50));
