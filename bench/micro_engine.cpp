@@ -332,7 +332,7 @@ printDfaCensusTable()
     Table table({"App", "NfaStates", "Classes", "DfaStates",
                  "Table KiB", "Result"});
     size_t built = 0;
-    const HotDfa::Limits limits = HotDfa::Limits::fromOptions();
+    const HotDfa::Limits limits{};
     for (const auto &entry : appCatalog()) {
         Workload w = generateWorkload(entry.abbr, 7, 5);
         FlatAutomaton fa(w.app);

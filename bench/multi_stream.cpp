@@ -1,9 +1,11 @@
 /**
  * @file
  * Multi-stream batch throughput: aggregate bytes/sec of B independent
- * streams over one shared automaton, batched through StreamBatchRunner
- * (cache-blocked rotation + the fused DFA interleave), against the same
- * B streams run one after another through dedicated sessions.
+ * streams over one shared automaton, served through a MatchService
+ * tenant with one feedMany call per 4096-byte round — the daemon's Feed
+ * path, which runs the fused DFA interleave over the streams on the DFA
+ * table — against the same B streams run one after another through
+ * dedicated sessions.
  *
  * Two row groups:
  *  - determinizable rule sets at test scale (Bro217, Brill, EM, LV) in
@@ -18,7 +20,7 @@
  * whole-input Engine::run digest for the same bytes — the batch is a
  * scheduling change, never an approximation — and main() exits nonzero
  * on any mismatch (CI perf-smoke inherits the failure). Digests are
- * order-canonicalized (sorted) because the batch runs the safe
+ * order-canonicalized (sorted) because the service runs the safe
  * all-bytes stream alphabet while Engine::run resolves the input's
  * exact distinct-byte set, which may reorder reports *within* one
  * position on the sparse core; the report multiset is identical.
@@ -27,13 +29,15 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "common/rng.h"
 #include "core/sparseap.h"
+#include "serve/match_service.h"
 #include "sim/exec_core.h"
-#include "sim/stream_batch.h"
 #include "store/format.h"
 
 using namespace sparseap;
@@ -41,6 +45,9 @@ using namespace sparseap;
 namespace {
 
 constexpr size_t kStreamCounts[] = {1, 4, 16, 64};
+
+/** Bytes per stream per feedMany round. */
+constexpr size_t kRoundBytes = 4096;
 
 /** Best-of-@p reps wall seconds of @p fn. */
 template <typename Fn>
@@ -79,10 +86,64 @@ struct BenchCase
     std::vector<std::vector<uint8_t>> streams; // kStreamCounts.back()
 };
 
+/** Exit nonzero on a failed service call: the digest gate alone would
+ *  pass a workload that reports nothing. */
+void
+require(serve::OpStatus st)
+{
+    if (st != serve::OpStatus::Ok) {
+        std::fprintf(stderr, "FAIL: MatchService call returned %s\n",
+                     serve::opStatusName(st));
+        std::exit(1);
+    }
+}
+
+/**
+ * Open @p spans.size() streams on @p service's tenant, feed them
+ * together in kRoundBytes rounds (one feedMany per round), close them,
+ * and return each stream's reports.
+ */
+std::vector<ReportList>
+serveBatch(serve::MatchService &service, const std::string &tenant,
+           const std::vector<std::span<const uint8_t>> &spans)
+{
+    const size_t b = spans.size();
+    std::vector<ReportList> reports(b);
+    for (size_t i = 0; i < b; ++i)
+        require(service.open(tenant, i));
+    std::vector<serve::FeedEntry> entries;
+    std::vector<serve::ReportGroup> groups;
+    for (size_t off = 0;; off += kRoundBytes) {
+        entries.clear();
+        for (size_t i = 0; i < b; ++i) {
+            if (off < spans[i].size())
+                entries.push_back(
+                    {i, spans[i].subspan(
+                            off, std::min(kRoundBytes,
+                                          spans[i].size() - off))});
+        }
+        if (entries.empty())
+            break;
+        require(service.feedMany(tenant, entries, &groups));
+        for (serve::ReportGroup &g : groups)
+            reports[g.streamId].insert(reports[g.streamId].end(),
+                                       g.reports.begin(),
+                                       g.reports.end());
+    }
+    for (size_t i = 0; i < b; ++i) {
+        serve::ReportGroup tail;
+        require(service.close(tenant, i, &tail));
+        reports[i].insert(reports[i].end(), tail.reports.begin(),
+                          tail.reports.end());
+    }
+    return reports;
+}
+
 /**
  * One table row per stream count B: sequential service (B dedicated
- * sessions run back to back) vs the batch runner, aggregate MB/s each,
- * plus the per-stream digest gate against whole-input Engine::run.
+ * sessions run back to back) vs the same streams through one
+ * MatchService tenant, aggregate MB/s each, plus the per-stream digest
+ * gate against whole-input Engine::run.
  * @return false when any stream's digest diverges.
  */
 bool
@@ -113,10 +174,16 @@ runCase(const BenchCase &bc, Table *table, bool *any_speedup_ok)
             }
         });
 
-        StreamBatchRunner runner(*bc.fa, config);
-        std::vector<StreamResult> results;
+        // The tenant shares the case's automaton without owning it.
+        serve::MatchService service;
+        service.addTenant(
+            bc.label,
+            std::shared_ptr<const FlatAutomaton>(
+                bc.fa, [](const FlatAutomaton *) {}),
+            config);
+        std::vector<ReportList> results;
         const double batch_s = bestSeconds(3, [&] {
-            results = runner.run(spans);
+            results = serveBatch(service, bc.label, spans);
         });
 
         // Chunked-vs-whole gate on the timed results.
@@ -125,7 +192,7 @@ runCase(const BenchCase &bc, Table *table, bool *any_speedup_ok)
             Engine engine(*bc.fa, bc.mode);
             const uint64_t want = sortedDigest(
                 engine.run(spans[i]).reports);
-            if (sortedDigest(results[i].reports) != want)
+            if (sortedDigest(results[i]) != want)
                 match = false;
         }
         all_match = all_match && match;

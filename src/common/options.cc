@@ -84,13 +84,6 @@ parseEnvironment()
     }
     if (const char *v = std::getenv("SPARSEAP_SIMD"))
         opt.simd = v; // validated by simd::ops() (common/vec.cc)
-    if (const char *v = std::getenv("SPARSEAP_SKIP_DIVISOR")) {
-        long div = std::atol(v);
-        if (div <= 0)
-            fatal("SPARSEAP_SKIP_DIVISOR must be positive, got '", v,
-                  "'");
-        opt.skipDivisor = static_cast<size_t>(div);
-    }
     if (const char *v = std::getenv("SPARSEAP_INPUT_SKIP")) {
         if (std::strcmp(v, "off") == 0 || std::strcmp(v, "0") == 0)
             opt.inputSkip = false;
@@ -99,19 +92,6 @@ parseEnvironment()
             fatal("SPARSEAP_INPUT_SKIP must be auto, on, 1, off or 0, "
                   "got '",
                   v, "'");
-    }
-    if (const char *v = std::getenv("SPARSEAP_DFA_STATES")) {
-        long states = std::atol(v);
-        if (states <= 0)
-            fatal("SPARSEAP_DFA_STATES must be positive, got '", v, "'");
-        opt.dfaStateBudget = static_cast<size_t>(states);
-    }
-    if (const char *v = std::getenv("SPARSEAP_DFA_TABLE_KB")) {
-        long kb = std::atol(v);
-        if (kb <= 0)
-            fatal("SPARSEAP_DFA_TABLE_KB must be positive, got '", v,
-                  "'");
-        opt.dfaTableBytes = static_cast<size_t>(kb) * 1024;
     }
     if (const char *v = std::getenv("SPARSEAP_JOBS")) {
         long jobs = std::atol(v);

@@ -16,19 +16,11 @@
  *                       sse2|avx2|avx512 (default auto = widest the CPU
  *                       supports; "off" and "scalar" are synonyms; see
  *                       src/common/vec.h)
- *   SPARSEAP_SKIP_DIVISOR  dense-core skip/sweep crossover: the skip
- *                       path runs while live*divisor < words (default 4;
- *                       see docs/PERFORMANCE.md)
  *   SPARSEAP_INPUT_SKIP quiescence input skip: auto|on|1 (default)
  *                       enables SIMD-scanning quiescent stretches of
  *                       input instead of stepping them, off|0 disables.
  *                       Reports are byte-identical in both settings
  *                       (see docs/PERFORMANCE.md)
- *   SPARSEAP_DFA_STATES    hot-DFA determinization state budget
- *                       (default 2048; subset construction bails out to
- *                       the NFA dense core beyond it)
- *   SPARSEAP_DFA_TABLE_KB  hot-DFA transition-table byte budget in KiB
- *                       (default 4096)
  *   SPARSEAP_JOBS       threads for batch-level parallelism (default 1;
  *                       0 means all hardware threads; clamped to the
  *                       hardware thread count)
@@ -88,14 +80,8 @@ struct Options
     EngineMode engineMode = EngineMode::Auto;
     /** SPARSEAP_SIMD request, consumed by simd::ops() (common/vec.h). */
     std::string simd = "auto";
-    /** Dense-core skip/sweep crossover divisor (common/vec.h docs). */
-    size_t skipDivisor = 4;
     /** Quiescence input skip (SPARSEAP_INPUT_SKIP; default on). */
     bool inputSkip = true;
-    /** Hot-DFA determinization state budget. */
-    size_t dfaStateBudget = 2048;
-    /** Hot-DFA transition-table byte budget. */
-    size_t dfaTableBytes = 4096 * 1024;
     /** Threads for batch-level parallelism (resolved; >= 1). */
     unsigned jobs = 1;
     /** If non-empty, benches append JSON results to this file. */

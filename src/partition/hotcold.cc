@@ -146,7 +146,7 @@ profileApplication(const FlatAutomaton &fa, std::span<const uint8_t> input,
             const simd::Ops &ops = simd::ops();
             const size_t live_words = static_cast<size_t>(
                 ops.popcount(sum.data(), sum.size()));
-            if (live_words * dense.skipDivisor() < words) {
+            if (live_words * DenseCore::kSkipDivisor < words) {
                 forEachSetBit(sum,
                               [&](size_t w) { hot[w] |= enabled[w]; });
             } else {

@@ -5,7 +5,6 @@
 #include <thread>
 
 #include "common/logging.h"
-#include "sim/stream_batch.h"
 #include "telemetry/labels.h"
 #include "telemetry/metrics.h"
 #include "telemetry/request_trace.h"
@@ -161,21 +160,6 @@ struct TenantFold
             sparseCycles += cycles;
         skipSymbols += after.skippedSymbols - before.skippedSymbols;
         skipJumps += after.skipJumps - before.skipJumps;
-    }
-
-    /** Like addDelta for a from-scratch run (one-shot batch lanes),
-     *  classified by the stats flags instead of a live session. */
-    void
-    addRun(const SessionStats &run)
-    {
-        if (run.usedDfa)
-            dfaCycles += run.cycles;
-        else if (run.usedDenseCore)
-            denseCycles += run.cycles;
-        else
-            sparseCycles += run.cycles;
-        skipSymbols += run.skippedSymbols;
-        skipJumps += run.skipJumps;
     }
 
     void
@@ -479,64 +463,6 @@ MatchService::checkinLocked(Tenant *tenant, Stream *stream)
 }
 
 OpStatus
-MatchService::feed(const std::string &tenant_name, uint64_t stream_id,
-                   std::span<const uint8_t> chunk, ReportGroup *out)
-{
-    std::shared_ptr<Stream> stream;
-    Tenant *t = nullptr;
-    {
-        telemetry::RequestSpanScope checkout_span("service.checkout");
-        std::unique_lock<std::mutex> lock(mutex_);
-        t = findTenant(tenant_name);
-        if (t == nullptr)
-            return OpStatus::UnknownTenant;
-        auto it = t->streams.find(stream_id);
-        if (it == t->streams.end())
-            return OpStatus::UnknownStream;
-        stream = it->second;
-        checkoutLocked(&lock, t, stream.get());
-        // Revalidate: the stream may have been closed or swept while
-        // this caller waited on the busy flag.
-        auto again = t->streams.find(stream_id);
-        if (again == t->streams.end() || again->second != stream) {
-            checkinLocked(t, stream.get());
-            return OpStatus::UnknownStream;
-        }
-    }
-
-    if (config_.debugFeedDelayMicros != 0)
-        std::this_thread::sleep_for(
-            std::chrono::microseconds(config_.debugFeedDelayMicros));
-
-    const SessionStats before = stream->session->stats();
-    {
-        telemetry::RequestSpanScope feed_span("session.feed");
-        stream->session->feed(chunk);
-    }
-    out->streamId = stream_id;
-    out->streamOffset = stream->session->offset();
-    out->reports = stream->session->takeReports();
-    if (config_.tenantMetrics) {
-        TenantFold fold;
-        fold.feeds = 1;
-        fold.bytes = chunk.size();
-        fold.addDelta(before, stream->session->stats(),
-                      *stream->session);
-        fold.publish(tenant_name);
-    }
-
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        ++stats_.feeds;
-        stats_.fedBytes += chunk.size();
-        feedsCounter().add(1);
-        fedBytesCounter().add(chunk.size());
-        checkinLocked(t, stream.get());
-    }
-    return OpStatus::Ok;
-}
-
-OpStatus
 MatchService::feedMany(const std::string &tenant_name,
                        std::span<const FeedEntry> entries,
                        std::vector<ReportGroup> *out)
@@ -545,63 +471,45 @@ MatchService::feedMany(const std::string &tenant_name,
     if (entries.empty())
         return OpStatus::Ok;
 
-    // Duplicate stream ids degrade to ordered single feeds (the fused
-    // path advances each participating stream exactly once).
+    // The distinct stream ids, ascending: the checkout order, so
+    // concurrent feedMany calls acquiring overlapping stream sets can't
+    // deadlock on each other's busy flags.
     std::vector<uint64_t> ids;
     ids.reserve(entries.size());
     for (const FeedEntry &e : entries)
         ids.push_back(e.streamId);
     std::sort(ids.begin(), ids.end());
-    const bool has_dup =
-        std::adjacent_find(ids.begin(), ids.end()) != ids.end();
-    if (has_dup) {
-        out->resize(entries.size());
-        for (size_t i = 0; i < entries.size(); ++i) {
-            const OpStatus st = feed(tenant_name, entries[i].streamId,
-                                     entries[i].chunk, &(*out)[i]);
-            if (st != OpStatus::Ok)
-                return st;
-        }
-        return OpStatus::Ok;
-    }
+    ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
 
+    // Every stream is validated and checked out before any byte is
+    // fed, so a failed call leaves every stream where it was.
     Tenant *t = nullptr;
-    std::vector<std::shared_ptr<Stream>> streams(entries.size());
+    std::vector<std::shared_ptr<Stream>> held(ids.size()); // by ids[k]
     {
         std::unique_lock<std::mutex> lock(mutex_);
         t = findTenant(tenant_name);
         if (t == nullptr)
             return OpStatus::UnknownTenant;
-        for (const FeedEntry &e : entries)
-            if (!t->streams.count(e.streamId))
+        for (uint64_t id : ids)
+            if (!t->streams.count(id))
                 return OpStatus::UnknownStream;
-        // Checkout in ascending id order: concurrent feedMany calls
-        // acquiring overlapping stream sets can't deadlock on each
-        // other's busy flags.
-        for (uint64_t id : ids) {
-            const size_t slot =
-                static_cast<size_t>(std::find_if(
-                                        entries.begin(), entries.end(),
-                                        [&](const FeedEntry &e) {
-                                            return e.streamId == id;
-                                        }) -
-                                    entries.begin());
-            auto it = t->streams.find(id);
+        for (size_t k = 0; k < ids.size(); ++k) {
+            auto it = t->streams.find(ids[k]);
             bool gone = it == t->streams.end();
             if (!gone) {
-                streams[slot] = it->second;
-                checkoutLocked(&lock, t, streams[slot].get());
-                auto again = t->streams.find(id);
+                held[k] = it->second;
+                checkoutLocked(&lock, t, held[k].get());
+                auto again = t->streams.find(ids[k]);
                 gone = again == t->streams.end() ||
-                       again->second != streams[slot];
+                       again->second != held[k];
             }
             if (gone) {
                 // Swept while a checkout waited: release everything
                 // this call holds (a non-null slot is one it checked
                 // out, so its busy flag is ours) and fail.
-                for (size_t k = 0; k < entries.size(); ++k)
-                    if (streams[k])
-                        checkinLocked(t, streams[k].get());
+                for (const std::shared_ptr<Stream> &s : held)
+                    if (s)
+                        checkinLocked(t, s.get());
                 return OpStatus::UnknownStream;
             }
         }
@@ -611,49 +519,52 @@ MatchService::feedMany(const std::string &tenant_name,
         std::this_thread::sleep_for(
             std::chrono::microseconds(config_.debugFeedDelayMicros));
 
+    std::vector<EngineSession *> sessions(entries.size());
+    for (size_t i = 0; i < entries.size(); ++i) {
+        const size_t k = static_cast<size_t>(
+            std::lower_bound(ids.begin(), ids.end(),
+                             entries[i].streamId) -
+            ids.begin());
+        sessions[i] = held[k]->session.get();
+    }
     std::vector<SessionStats> before;
     if (config_.tenantMetrics) {
-        before.reserve(entries.size());
-        for (const std::shared_ptr<Stream> &s : streams)
+        before.reserve(held.size());
+        for (const std::shared_ptr<Stream> &s : held)
             before.push_back(s->session->stats());
     }
 
-    // Partition into the fused DFA cohort and individual feeds. The
-    // cohort shares one interleaved table walk (EngineSession::
-    // feedFused); everyone else advances through the ordinary path.
+    // With distinct ids, the DFA-phase streams advance together through
+    // one interleaved table walk (EngineSession::feedFused). Everything
+    // else — all entries when an id repeats — feeds in entry order.
     telemetry::RequestSpanScope feed_span("service.feed_many");
     std::vector<EngineSession *> fused_sessions;
     std::vector<std::span<const uint8_t>> fused_chunks;
-    std::vector<size_t> fused_slots;
-    for (size_t i = 0; i < entries.size(); ++i) {
-        if (streams[i]->session->dfaPhase()) {
-            fused_sessions.push_back(streams[i]->session.get());
-            fused_chunks.push_back(entries[i].chunk);
-            fused_slots.push_back(i);
+    std::vector<bool> fused(entries.size(), false);
+    if (ids.size() == entries.size()) {
+        for (size_t i = 0; i < entries.size(); ++i) {
+            if (sessions[i]->dfaPhase()) {
+                fused_sessions.push_back(sessions[i]);
+                fused_chunks.push_back(entries[i].chunk);
+                fused[i] = true;
+            }
         }
     }
-    if (fused_sessions.size() >= 2) {
+    const bool fuse = fused_sessions.size() >= 2;
+    if (fuse)
         EngineSession::feedFused(
             std::span<EngineSession *const>(fused_sessions),
             std::span<const std::span<const uint8_t>>(fused_chunks));
-    } else {
-        fused_slots.clear();
-    }
-    for (size_t i = 0; i < entries.size(); ++i) {
-        const bool in_fused =
-            std::find(fused_slots.begin(), fused_slots.end(), i) !=
-            fused_slots.end();
-        if (!in_fused)
-            streams[i]->session->feed(entries[i].chunk);
-    }
 
     out->resize(entries.size());
     uint64_t bytes = 0;
     for (size_t i = 0; i < entries.size(); ++i) {
+        if (!(fuse && fused[i]))
+            sessions[i]->feed(entries[i].chunk);
         ReportGroup &g = (*out)[i];
         g.streamId = entries[i].streamId;
-        g.streamOffset = streams[i]->session->offset();
-        g.reports = streams[i]->session->takeReports();
+        g.streamOffset = sessions[i]->offset();
+        g.reports = sessions[i]->takeReports();
         bytes += entries[i].chunk.size();
     }
 
@@ -661,9 +572,9 @@ MatchService::feedMany(const std::string &tenant_name,
         TenantFold fold;
         fold.feeds = entries.size();
         fold.bytes = bytes;
-        for (size_t i = 0; i < entries.size(); ++i)
-            fold.addDelta(before[i], streams[i]->session->stats(),
-                          *streams[i]->session);
+        for (size_t k = 0; k < held.size(); ++k)
+            fold.addDelta(before[k], held[k]->session->stats(),
+                          *held[k]->session);
         fold.publish(tenant_name);
     }
 
@@ -671,12 +582,12 @@ MatchService::feedMany(const std::string &tenant_name,
         std::lock_guard<std::mutex> lock(mutex_);
         stats_.feeds += entries.size();
         stats_.fedBytes += bytes;
-        if (!fused_slots.empty())
+        if (fuse)
             ++stats_.fusedFeeds;
         feedsCounter().add(entries.size());
         fedBytesCounter().add(bytes);
-        for (size_t i = 0; i < entries.size(); ++i)
-            checkinLocked(t, streams[i].get());
+        for (const std::shared_ptr<Stream> &s : held)
+            checkinLocked(t, s.get());
     }
     return OpStatus::Ok;
 }
@@ -755,56 +666,6 @@ MatchService::matchOneShot(const std::string &tenant_name,
         feedsCounter().add(1);
         fedBytesCounter().add(input.size());
         recycleSessionLocked(t, std::move(session));
-    }
-    return OpStatus::Ok;
-}
-
-OpStatus
-MatchService::matchBatch(const std::string &tenant_name,
-                         std::span<const std::span<const uint8_t>> inputs,
-                         std::vector<ReportGroup> *out)
-{
-    const FlatAutomaton *fa = nullptr;
-    SessionConfig config;
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        const Tenant *t = findTenant(tenant_name);
-        if (t == nullptr)
-            return OpStatus::UnknownTenant;
-        fa = t->fa.get();
-        config = t->session;
-    }
-
-    StreamBatchRunner runner(*fa, config);
-    std::vector<StreamResult> results;
-    {
-        telemetry::RequestSpanScope batch_span("session.match_batch");
-        results = runner.run(inputs);
-    }
-
-    out->clear();
-    out->resize(results.size());
-    uint64_t bytes = 0;
-    TenantFold fold;
-    for (size_t i = 0; i < results.size(); ++i) {
-        (*out)[i].streamId = i;
-        (*out)[i].streamOffset = results[i].stats.cycles;
-        (*out)[i].reports = std::move(results[i].reports);
-        bytes += inputs[i].size();
-        fold.addRun(results[i].stats);
-    }
-    if (config_.tenantMetrics) {
-        fold.feeds = results.size();
-        fold.bytes = bytes;
-        fold.publish(tenant_name);
-    }
-
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        stats_.feeds += results.size();
-        stats_.fedBytes += bytes;
-        feedsCounter().add(results.size());
-        fedBytesCounter().add(bytes);
     }
     return OpStatus::Ok;
 }

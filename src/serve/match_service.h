@@ -17,14 +17,14 @@
  * resuming byte-identically on the next feed. Eviction accounting uses
  * Snapshot::byteSize(), so `serve.parked_bytes` is exact.
  *
- * Feeds for one stream are serialized (concurrent callers queue on the
- * stream's busy flag); feeds for different streams run concurrently —
- * the service mutex covers only table bookkeeping, never execution.
- * feedMany() additionally routes same-phase DFA streams of one tenant
- * through EngineSession::feedFused, the lane trick StreamBatchRunner
- * uses, so a batched request over N streams pays one interleaved table
- * walk instead of N dependent-load chains. matchBatch() (one-shot
- * inputs, no session table) rides StreamBatchRunner itself.
+ * feedMany() is the one feed path: a request carries one or more
+ * (stream, chunk) entries. Feeds for one stream are serialized
+ * (concurrent callers queue on the stream's busy flag); feeds for
+ * different streams run concurrently — the service mutex covers only
+ * table bookkeeping, never execution. Within one request over distinct
+ * streams, those on the DFA table advance together through
+ * EngineSession::feedFused, so a batch over N streams pays one
+ * interleaved table walk instead of N dependent-load chains.
  *
  * Every operation returns reports drained from the session — a parked
  * stream never carries undelivered reports, which is what makes the
@@ -84,7 +84,7 @@ struct MatchServiceConfig
      */
     bool tenantMetrics = true;
     /**
-     * Test hook: stall every feed()/feedMany() by this long before
+     * Test hook: stall every feedMany() by this long before
      * executing, so slow-request capture is testable without a giant
      * input. 0 in any real configuration.
      */
@@ -149,21 +149,17 @@ class MatchService
                   uint64_t owner = 0);
 
     /**
-     * Advance one stream by @p chunk; @p out receives the drained
-     * reports (positions are global stream offsets) and the stream's
-     * new offset. Feeds for one stream serialize in caller order;
-     * feeds for different streams run concurrently.
-     */
-    OpStatus feed(const std::string &tenant, uint64_t streamId,
-                  std::span<const uint8_t> chunk, ReportGroup *out);
-
-    /**
-     * Advance several streams of one tenant in one call. Streams in
-     * the DFA phase advance together through the fused interleave;
-     * the rest feed individually. @p out gets one group per entry, in
-     * entry order. Entries naming the same stream twice are fed in
-     * order. Any entry with an unknown stream id fails the whole call
-     * before any bytes are consumed.
+     * Feed each entry's chunk to its stream; all streams belong to
+     * @p tenant. @p out gets one group per entry, in entry order: the
+     * reports the entry's chunk drained (positions are global stream
+     * offsets) and the stream's offset after it. Every stream is
+     * checked out before any byte is fed, so an unknown stream id fails
+     * the whole call with every stream unchanged. When the ids are
+     * distinct, streams in the DFA phase advance together through the
+     * fused interleave; every other entry — all of them when an id
+     * repeats — feeds individually, in entry order. Feeds for one
+     * stream serialize in caller order; feeds for different streams run
+     * concurrently.
      */
     OpStatus feedMany(const std::string &tenant,
                       std::span<const FeedEntry> entries,
@@ -180,14 +176,6 @@ class MatchService
     OpStatus matchOneShot(const std::string &tenant,
                           std::span<const uint8_t> input,
                           ReportGroup *out);
-
-    /**
-     * One-shot batch over StreamBatchRunner (lane rotation + fused DFA
-     * interleave); out[i] belongs to inputs[i], streamId = i.
-     */
-    OpStatus matchBatch(const std::string &tenant,
-                        std::span<const std::span<const uint8_t>> inputs,
-                        std::vector<ReportGroup> *out);
 
     /**
      * Drop every stream opened under @p owner (client disconnect).

@@ -19,8 +19,7 @@ markWord(uint64_t *sum, uint64_t *sum2, size_t w)
 } // namespace
 
 DenseCore::DenseCore(const FlatAutomaton &fa)
-    : fa_(fa), dv_(fa.denseView()), ops_(&simd::ops()),
-      skip_divisor_(globalOptions().skipDivisor), words_(dv_.words),
+    : fa_(fa), dv_(fa.denseView()), ops_(&simd::ops()), words_(dv_.words),
       sum_words_(wordsForBits(words_)),
       sum2_words_(wordsForBits(sum_words_)),
       has_starts_(!fa.allInputStarts().empty()),
@@ -346,7 +345,7 @@ DenseCore::step(uint8_t symbol, uint64_t position, ReportList *reports)
     ++stats_.cycles;
     stats_.liveWords += live;
 
-    if (live * skip_divisor_ < words_) {
+    if (live * kSkipDivisor < words_) {
         ++stats_.skipCycles;
         stepSkip(accept, sk, s_end, ssk, ss_end, position, reports);
     } else {
@@ -594,7 +593,7 @@ DenseCore::stepFlat(const uint64_t *accept, uint8_t cls, uint32_t sk,
     if (has_perm_) {
         const uint64_t live =
             ops_->popcount(perm_next_sum_.data(), sum_words_);
-        if (live * skip_divisor_ >= words_)
+        if (live * kSkipDivisor >= words_)
             ops_->orInto(next, perm_next_.data(), words_);
         else
             orPermanentsIntoNext(/*mark=*/false);

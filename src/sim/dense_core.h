@@ -163,14 +163,9 @@ class DenseCore
      * Flat-sweep crossover: the hierarchical skip path runs only while
      * live words (dynamic + start dispatch) are under 1/kSkipDivisor of
      * the vector; above that the per-word bookkeeping outweighs the
-     * skipped work and a linear SIMD sweep wins. Compiled default;
-     * overridable per process via SPARSEAP_SKIP_DIVISOR (the divisor in
-     * effect is read from globalOptions() at construction).
+     * skipped work and a linear SIMD sweep wins.
      */
     static constexpr size_t kSkipDivisor = 4;
-
-    /** Skip/sweep divisor this core runs with (see kSkipDivisor). */
-    size_t skipDivisor() const { return skip_divisor_; }
 
     /** SIMD tier the word sweeps run at (resolved at construction). */
     simd::Isa isa() const { return ops_->isa; }
@@ -219,7 +214,6 @@ class DenseCore
     const FlatAutomaton &fa_;
     const FlatAutomaton::DenseView &dv_;
     const simd::Ops *ops_; ///< active SIMD kernel table (common/vec.h)
-    size_t skip_divisor_;  ///< skip/sweep crossover (kSkipDivisor)
     size_t words_;      ///< enabled-set words: ceil(N / 64)
     size_t sum_words_;  ///< level-1 summary words: ceil(words_ / 64)
     size_t sum2_words_; ///< level-2 summary words: ceil(sum_words_ / 64)

@@ -234,7 +234,7 @@ std::shared_ptr<const HotDfa>
 FlatAutomaton::ensureHotDfa() const
 {
     std::call_once(dfa_once_, [this] {
-        hot_dfa_ = HotDfa::build(*this, HotDfa::Limits::fromOptions());
+        hot_dfa_ = HotDfa::build(*this, HotDfa::Limits{});
         dfa_ready_.store(true, std::memory_order_release);
     });
     return hot_dfa_;

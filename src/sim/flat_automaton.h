@@ -316,7 +316,7 @@ class FlatAutomaton
 
     /**
      * Hot-set DFA (sim/hot_dfa.h), determinized on first call under the
-     * SPARSEAP_DFA_STATES / SPARSEAP_DFA_TABLE_KB budgets. Exactly one
+     * default HotDfa::Limits budgets. Exactly one
      * construction attempt per automaton: the result — including a null
      * from a budget bailout — is cached, so callers can retry cheaply.
      */

@@ -5,22 +5,12 @@
 #include <unordered_map>
 
 #include "common/logging.h"
-#include "common/options.h"
 #include "common/vec.h"
 #include "common/word_vector.h"
 #include "telemetry/metrics.h"
 #include "telemetry/trace.h"
 
 namespace sparseap {
-
-HotDfa::Limits
-HotDfa::Limits::fromOptions()
-{
-    Limits l;
-    l.stateBudget = globalOptions().dfaStateBudget;
-    l.tableBytes = globalOptions().dfaTableBytes;
-    return l;
-}
 
 std::shared_ptr<const HotDfa>
 HotDfa::build(const FlatAutomaton &fa, const Limits &limits)

@@ -23,7 +23,7 @@
  * state numbering — and therefore the encoded artifact — is
  * deterministic. The pass *bails out* (returns null) the moment the
  * state count or the transition-table bytes exceed the caps
- * (SPARSEAP_DFA_STATES / SPARSEAP_DFA_TABLE_KB): subset construction is
+ * (Limits: 2048 states, 4 MiB of table): subset construction is
  * exponential in the worst case, and the NFA dense core is always a
  * correct fallback.
  *
@@ -62,9 +62,6 @@ class HotDfa
         size_t stateBudget = 2048;
         /** Maximum transition-table bytes (states * classes * 4). */
         size_t tableBytes = 4096 * 1024;
-
-        /** Caps from SPARSEAP_DFA_STATES / SPARSEAP_DFA_TABLE_KB. */
-        static Limits fromOptions();
     };
 
     /**

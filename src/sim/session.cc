@@ -403,8 +403,8 @@ EngineSession::feedFused(std::span<EngineSession *const> sessions,
                 }
             }
         }
-        // Unequal chunk lengths (last round of a batch): finish each
-        // stream's tail individually.
+        // Unequal chunk lengths: finish each stream's tail
+        // individually.
         for (size_t k = 0; k < m; ++k) {
             EngineSession &sess = *sessions[base + k];
             const std::span<const uint8_t> chunk = chunks[base + k];

@@ -37,6 +37,10 @@
  * parked, migrated to another EngineSession (or another process: the
  * DFA's BFS numbering is deterministic) and continued byte-identically.
  *
+ * Many streams share one automaton through MatchService::feedMany: the
+ * streams of one request that run on the DFA table advance together via
+ * feedFused; every other stream feeds on its own (DESIGN.md §11).
+ *
  * Engine is itself implemented on top of EngineSession (one restart +
  * one feed per run), so the chunked and whole-input paths cannot
  * drift. See DESIGN.md §10.

@@ -3,17 +3,20 @@
  * MatchService session-table tests: the service is a scheduling and
  * residency layer over EngineSession, so its contract is byte-level —
  * any open/feed/close interleaving across tenants and streams, under
- * any resident-session budget, must produce per-stream report multisets
- * identical to whole-input Engine::run over each stream's concatenated
- * bytes. (Multisets, not sequences: the service runs the safe all-bytes
- * stream alphabet, which may reorder reports within one position vs the
- * exact-alphabet whole-input run; digests sort first, like
- * bench/multi_stream.)
+ * any resident-session budget, in every engine mode, with the fused
+ * DFA interleave engaged and not, must produce per-stream report
+ * multisets identical to whole-input Engine::run over each stream's
+ * concatenated bytes. (Multisets, not sequences: the service runs the
+ * safe all-bytes stream alphabet, which may reorder reports within one
+ * position vs the exact-alphabet whole-input run; digests sort first,
+ * like bench/multi_stream.) The thread-sanitizer CI leg runs these to
+ * vet the shared-FlatAutomaton concurrency.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <deque>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -41,6 +44,62 @@ sortedDigest(ReportList reports)
         d.add(r.state);
     }
     return d.digest();
+}
+
+/**
+ * Bytes that drive @p nfa from an all-input start to a report: one byte
+ * of each state's symbol set along a shortest start→reporting path.
+ * Empty when no such path exists.
+ */
+std::vector<uint8_t>
+matchingBytes(const Nfa &nfa)
+{
+    std::vector<StateId> parent(nfa.size(), kInvalidState);
+    std::deque<StateId> queue;
+    for (StateId s : nfa.startStates()) {
+        if (nfa.state(s).start == StartKind::AllInput) {
+            parent[s] = s;
+            queue.push_back(s);
+        }
+    }
+    while (!queue.empty()) {
+        const StateId s = queue.front();
+        queue.pop_front();
+        if (nfa.state(s).reporting) {
+            std::vector<uint8_t> bytes;
+            for (StateId t = s;; t = parent[t]) {
+                uint8_t b = 0;
+                while (b < 255 && !nfa.state(t).symbols.test(b))
+                    ++b;
+                bytes.push_back(b);
+                if (parent[t] == t)
+                    break;
+            }
+            std::reverse(bytes.begin(), bytes.end());
+            return bytes;
+        }
+        for (StateId next : nfa.state(s).successors) {
+            if (parent[next] == kInvalidState) {
+                parent[next] = s;
+                queue.push_back(next);
+            }
+        }
+    }
+    return {};
+}
+
+/** feedMany with a single entry: one chunk of one stream. */
+OpStatus
+feedOne(MatchService &service, const std::string &tenant,
+        uint64_t stream_id, std::span<const uint8_t> chunk,
+        ReportGroup *out)
+{
+    const FeedEntry entry{stream_id, chunk};
+    std::vector<ReportGroup> groups;
+    const OpStatus st = service.feedMany(tenant, {&entry, 1}, &groups);
+    if (st == OpStatus::Ok)
+        *out = std::move(groups.at(0));
+    return st;
 }
 
 struct ServiceFixture
@@ -105,8 +164,8 @@ TEST(MatchService, OpenFeedCloseMatchesWholeInputRun)
         for (size_t off = 0; off < input.size(); off += chunk) {
             const size_t n = std::min(chunk, input.size() - off);
             ReportGroup group;
-            ASSERT_EQ(service.feed(fx.names[t], 1,
-                                   {input.data() + off, n}, &group),
+            ASSERT_EQ(feedOne(service, fx.names[t], 1,
+                              {input.data() + off, n}, &group),
                       OpStatus::Ok);
             EXPECT_EQ(group.streamOffset, off + n);
             all.insert(all.end(), group.reports.begin(),
@@ -132,9 +191,9 @@ TEST(MatchService, TableErrors)
 
     ReportGroup group;
     EXPECT_EQ(service.open("nope", 1), OpStatus::UnknownTenant);
-    EXPECT_EQ(service.feed("nope", 1, {}, &group),
+    EXPECT_EQ(feedOne(service, "nope", 1, {}, &group),
               OpStatus::UnknownTenant);
-    EXPECT_EQ(service.feed("Bro217", 9, {}, &group),
+    EXPECT_EQ(feedOne(service, "Bro217", 9, {}, &group),
               OpStatus::UnknownStream);
     EXPECT_EQ(service.close("Bro217", 9, &group),
               OpStatus::UnknownStream);
@@ -168,8 +227,8 @@ TEST(MatchService, ParkingUnderTinyBudgetStaysByteIdentical)
         const size_t n = std::min(chunk, input.size() - off);
         for (size_t s = 0; s < kStreams; ++s) {
             ReportGroup group;
-            ASSERT_EQ(service.feed("Bro217", s,
-                                   {input.data() + off, n}, &group),
+            ASSERT_EQ(feedOne(service, "Bro217", s,
+                              {input.data() + off, n}, &group),
                       OpStatus::Ok);
             collected[s].insert(collected[s].end(),
                                 group.reports.begin(),
@@ -209,9 +268,9 @@ TEST(MatchService, ParkedBytesTrackSnapshotSizes)
     ASSERT_EQ(service.open("Bro217", 2), OpStatus::Ok);
     ReportGroup group;
     const auto &input = fx.inputs[0];
-    ASSERT_EQ(service.feed("Bro217", 1, {input.data(), 4096}, &group),
+    ASSERT_EQ(feedOne(service, "Bro217", 1, {input.data(), 4096}, &group),
               OpStatus::Ok);
-    ASSERT_EQ(service.feed("Bro217", 2, {input.data(), 4096}, &group),
+    ASSERT_EQ(feedOne(service, "Bro217", 2, {input.data(), 4096}, &group),
               OpStatus::Ok);
     // Stream 1 was parked to make room for stream 2's session.
     const ServiceStats stats = service.stats();
@@ -249,7 +308,7 @@ TEST(MatchService, FeedManyUsesFusedDfaPath)
             telemetry::labeledName("serve.dfa_cycles", tenant);
         ASSERT_EQ(service.open(tenant, 100), OpStatus::Ok);
         ReportGroup first;
-        ASSERT_EQ(service.feed(tenant, 100, {input.data(), 4096}, &first),
+        ASSERT_EQ(feedOne(service, tenant, 100, {input.data(), 4096}, &first),
                   OpStatus::Ok);
         ASSERT_EQ(service.close(tenant, 100, &first), OpStatus::Ok);
         EXPECT_EQ(telemetry::snapshot().counters[dfa_cycles], 4096u);
@@ -289,7 +348,75 @@ TEST(MatchService, FeedManyUsesFusedDfaPath)
     }
 }
 
+/**
+ * Entries naming a stream twice feed in entry order, and each entry's
+ * group holds exactly the reports its own chunk produced: on the NFA
+ * cores (auto, before the automaton has a DFA) and on the DFA table,
+ * where a repeated id turns fusion off for the whole call.
+ */
 TEST(MatchService, FeedManyDuplicateStreamIdsFeedInOrder)
+{
+    ServiceFixture fx({"Bro217"});
+    const auto &input = fx.inputs[0];
+    const uint64_t want = fx.wholeInputDigest(0, input);
+    const size_t half = input.size() / 2;
+    const size_t third = input.size() / 3;
+    const std::vector<FeedEntry> entries = {
+        {1, {input.data(), half}},
+        {2, {input.data(), third}},
+        {1, {input.data() + half, input.size() - half}},
+        {2, {input.data() + third, input.size() - third}},
+    };
+    const uint64_t starts[] = {0, 0, half, third};
+
+    for (EngineMode mode : {EngineMode::Auto, EngineMode::Dfa}) {
+        SCOPED_TRACE(engineModeName(mode));
+        if (mode == EngineMode::Dfa) {
+            ASSERT_NE(fx.automata[0]->ensureHotDfa(), nullptr);
+        }
+        SessionConfig session;
+        session.mode = mode;
+        MatchService service;
+        service.addTenant("Bro217", fx.automata[0], session);
+        ASSERT_EQ(service.open("Bro217", 1), OpStatus::Ok);
+        ASSERT_EQ(service.open("Bro217", 2), OpStatus::Ok);
+
+        std::vector<ReportGroup> groups;
+        ASSERT_EQ(service.feedMany("Bro217", entries, &groups),
+                  OpStatus::Ok);
+        ASSERT_EQ(groups.size(), entries.size());
+        EXPECT_EQ(service.stats().fusedFeeds, 0u);
+
+        std::vector<ReportList> all(3);
+        for (size_t i = 0; i < groups.size(); ++i) {
+            const ReportGroup &g = groups[i];
+            EXPECT_EQ(g.streamId, entries[i].streamId);
+            EXPECT_EQ(g.streamOffset,
+                      starts[i] + entries[i].chunk.size());
+            for (const Report &r : g.reports) {
+                EXPECT_GE(r.position, starts[i]) << "entry " << i;
+                EXPECT_LT(r.position, g.streamOffset) << "entry " << i;
+            }
+            all[g.streamId].insert(all[g.streamId].end(),
+                                   g.reports.begin(), g.reports.end());
+        }
+        for (uint64_t id : {1, 2}) {
+            ReportGroup tail;
+            ASSERT_EQ(service.close("Bro217", id, &tail), OpStatus::Ok);
+            EXPECT_EQ(tail.streamOffset, input.size());
+            all[id].insert(all[id].end(), tail.reports.begin(),
+                           tail.reports.end());
+            EXPECT_EQ(sortedDigest(std::move(all[id])), want)
+                << "stream " << id;
+        }
+    }
+}
+
+/**
+ * An unknown id fails the call before any byte is fed, even when an
+ * earlier entry repeats an open stream's id.
+ */
+TEST(MatchService, FeedManyRejectsUnknownIdBeforeFeedingDuplicates)
 {
     ServiceFixture fx({"Bro217"});
     MatchService service;
@@ -298,24 +425,119 @@ TEST(MatchService, FeedManyDuplicateStreamIdsFeedInOrder)
 
     const auto &input = fx.inputs[0];
     const size_t half = input.size() / 2;
-    std::vector<FeedEntry> entries = {
+    const std::vector<FeedEntry> entries = {
         {1, {input.data(), half}},
         {1, {input.data() + half, input.size() - half}},
+        {99, {input.data(), 16}},
     };
     std::vector<ReportGroup> groups;
-    ASSERT_EQ(service.feedMany("Bro217", entries, &groups),
-              OpStatus::Ok);
-    ASSERT_EQ(groups.size(), 2u);
-    EXPECT_EQ(groups[1].streamOffset, input.size());
+    EXPECT_EQ(service.feedMany("Bro217", entries, &groups),
+              OpStatus::UnknownStream);
+    EXPECT_EQ(service.stats().fedBytes, 0u);
 
-    ReportList all;
-    for (const ReportGroup &g : groups)
-        all.insert(all.end(), g.reports.begin(), g.reports.end());
     ReportGroup tail;
     ASSERT_EQ(service.close("Bro217", 1, &tail), OpStatus::Ok);
-    all.insert(all.end(), tail.reports.begin(), tail.reports.end());
-    EXPECT_EQ(sortedDigest(std::move(all)),
-              fx.wholeInputDigest(0, input));
+    EXPECT_EQ(tail.streamOffset, 0u);
+    EXPECT_TRUE(tail.reports.empty());
+}
+
+/**
+ * feedMany in every engine mode over determinized automata: an empty
+ * request, then six streams whose chunks differ in length within each
+ * round (so the fused interleave finishes unequal tails one stream at a
+ * time), one empty chunk and one all-empty round. Each stream's reports
+ * must equal its whole-input Engine::run, and each group's offset the
+ * bytes fed. A match of the first pattern is planted in every stream,
+ * because EM's synthesized input never reaches a report on its own.
+ */
+TEST(MatchService, FeedManyMatchesWholeInputRunInEveryMode)
+{
+    constexpr size_t kStreams = 6;
+    constexpr size_t kBytes = 4096;
+    Rng rng(20180621);
+    for (const char *abbr : {"Bro217", "Brill", "EM"}) {
+        Workload w = generateWorkload(abbr, 7, 5);
+        auto fa = std::make_shared<FlatAutomaton>(w.app);
+        ASSERT_NE(fa->ensureHotDfa(), nullptr)
+            << abbr << " at 5% scale must determinize";
+        const std::vector<uint8_t> match = matchingBytes(w.app.nfa(0));
+        ASSERT_FALSE(match.empty());
+        std::vector<std::vector<uint8_t>> inputs;
+        for (size_t s = 0; s < kStreams; ++s) {
+            inputs.push_back(synthesizeInput(w.input, kBytes, rng));
+            const size_t at = 1000 + 400 * s;
+            ASSERT_LE(at + match.size(), inputs.back().size());
+            std::copy(match.begin(), match.end(),
+                      inputs.back().begin() + at);
+        }
+
+        for (EngineMode mode :
+             {EngineMode::Sparse, EngineMode::Dense, EngineMode::Dfa,
+              EngineMode::Auto}) {
+            SCOPED_TRACE(std::string(abbr) + " mode " +
+                         engineModeName(mode));
+            SessionConfig session;
+            session.mode = mode;
+            session.inputSkip = true;
+            MatchService service;
+            service.addTenant(abbr, fa, session);
+            for (size_t s = 0; s < kStreams; ++s)
+                ASSERT_EQ(service.open(abbr, s), OpStatus::Ok);
+            std::vector<ReportGroup> none(1);
+            ASSERT_EQ(service.feedMany(abbr, {}, &none), OpStatus::Ok);
+            EXPECT_TRUE(none.empty());
+
+            std::vector<ReportList> got(kStreams);
+            std::vector<size_t> fed(kStreams, 0);
+            for (size_t round = 0;; ++round) {
+                std::vector<FeedEntry> entries;
+                for (size_t s = 0; s < kStreams; ++s) {
+                    const bool empty =
+                        round == 2 || (round == 1 && s == 3);
+                    const size_t want = empty ? 0 : 300 + 97 * s;
+                    const size_t n =
+                        std::min(want, inputs[s].size() - fed[s]);
+                    entries.push_back(
+                        {s, {inputs[s].data() + fed[s], n}});
+                    fed[s] += n;
+                }
+                std::vector<ReportGroup> groups;
+                ASSERT_EQ(service.feedMany(abbr, entries, &groups),
+                          OpStatus::Ok);
+                ASSERT_EQ(groups.size(), kStreams);
+                for (size_t s = 0; s < kStreams; ++s) {
+                    EXPECT_EQ(groups[s].streamId, s);
+                    EXPECT_EQ(groups[s].streamOffset, fed[s]);
+                    got[s].insert(got[s].end(),
+                                  groups[s].reports.begin(),
+                                  groups[s].reports.end());
+                }
+                bool done = true;
+                for (size_t s = 0; s < kStreams; ++s)
+                    done = done && fed[s] == inputs[s].size();
+                if (done)
+                    break;
+            }
+
+            size_t reports = 0;
+            for (size_t s = 0; s < kStreams; ++s) {
+                ReportGroup tail;
+                ASSERT_EQ(service.close(abbr, s, &tail), OpStatus::Ok);
+                EXPECT_EQ(tail.streamOffset, inputs[s].size());
+                got[s].insert(got[s].end(), tail.reports.begin(),
+                              tail.reports.end());
+                reports += got[s].size();
+                Engine engine(*fa, mode);
+                EXPECT_EQ(sortedDigest(std::move(got[s])),
+                          sortedDigest(engine.run(inputs[s]).reports))
+                    << "stream " << s;
+            }
+            EXPECT_GT(reports, 0u) << "the digest gate compared nothing";
+            const bool on_dfa =
+                mode == EngineMode::Dfa || mode == EngineMode::Auto;
+            EXPECT_EQ(service.stats().fusedFeeds > 0, on_dfa);
+        }
+    }
 }
 
 TEST(MatchService, OneShotAndBatchMatchWholeInputRun)
@@ -331,15 +553,6 @@ TEST(MatchService, OneShotAndBatchMatchWholeInputRun)
               OpStatus::Ok);
     EXPECT_EQ(sortedDigest(group.reports), want);
     EXPECT_EQ(group.streamOffset, input.size());
-
-    std::vector<std::span<const uint8_t>> inputs(5,
-                                                 std::span(input));
-    std::vector<ReportGroup> groups;
-    ASSERT_EQ(service.matchBatch("Bro217", inputs, &groups),
-              OpStatus::Ok);
-    ASSERT_EQ(groups.size(), 5u);
-    for (const ReportGroup &g : groups)
-        EXPECT_EQ(sortedDigest(g.reports), want);
 }
 
 TEST(MatchService, ReleaseOwnerSweepsOnlyThatOwner)
@@ -354,9 +567,9 @@ TEST(MatchService, ReleaseOwnerSweepsOnlyThatOwner)
     EXPECT_EQ(service.releaseOwner(100), 2u);
     EXPECT_EQ(service.openStreamCount(), 1u);
     ReportGroup group;
-    EXPECT_EQ(service.feed("Bro217", 1, {}, &group),
+    EXPECT_EQ(feedOne(service, "Bro217", 1, {}, &group),
               OpStatus::UnknownStream);
-    EXPECT_EQ(service.feed("Bro217", 3, fx.inputs[0], &group),
+    EXPECT_EQ(feedOne(service, "Bro217", 3, fx.inputs[0], &group),
               OpStatus::Ok);
     EXPECT_EQ(service.releaseOwner(200), 1u);
     EXPECT_EQ(service.openStreamCount(), 0u);
@@ -387,9 +600,8 @@ TEST(MatchService, ConcurrentStreamsStayIsolated)
             for (size_t off = 0; off < input.size(); off += chunk) {
                 const size_t n = std::min(chunk, input.size() - off);
                 ReportGroup group;
-                ASSERT_EQ(service.feed(fx.names[tenant], s,
-                                       {input.data() + off, n},
-                                       &group),
+                ASSERT_EQ(feedOne(service, fx.names[tenant], s,
+                                  {input.data() + off, n}, &group),
                           OpStatus::Ok);
                 all.insert(all.end(), group.reports.begin(),
                            group.reports.end());

@@ -176,9 +176,8 @@ TEST(ServeObservability, InjectedDelayCapturesSpanTreeAndLogsIt)
         saw_admission |= name == "serve.admission";
         saw_execute |= name == "serve.execute";
         // The wire Feed path executes via feedMany even for a single
-        // chunk; a duplicate-id degenerate batch would go via feed().
-        saw_feed |= name == "service.feed_many" ||
-                    name == "session.feed";
+        // chunk.
+        saw_feed |= name == "service.feed_many";
     }
     EXPECT_TRUE(saw_admission);
     EXPECT_TRUE(saw_execute);
