@@ -72,17 +72,16 @@ BM_EngineCore(benchmark::State &state, const char *abbr, EngineMode mode)
 }
 
 /**
- * Dense kernel with the class-compressed accept table against the raw
- * 256-row layout — what the byte→equivalence-class map buys on each
- * workload family. Counters record the class count and accept-table
- * footprint of the chosen layout.
+ * Dense kernel over the class-compressed accept table on each workload
+ * family. Counters record the class count and the accept-table
+ * footprint; the symbol-class table printed before the benchmarks
+ * compares that footprint with the uncompressed 256-row size.
  */
 void
-BM_DenseKernel(benchmark::State &state, const char *abbr,
-               FlatAutomaton::DenseCompression compression)
+BM_DenseKernel(benchmark::State &state, const char *abbr)
 {
     const LoadedApp &app = sharedApp(abbr);
-    FlatAutomaton fa(app.workload.app, compression);
+    FlatAutomaton fa(app.workload.app);
     Engine engine(fa, EngineMode::Dense);
     const std::span<const uint8_t> input(app.input.data(),
                                          std::min<size_t>(
@@ -422,26 +421,11 @@ BENCHMARK_CAPTURE(BM_EngineCore, snort_sparse, "Snort",
 BENCHMARK_CAPTURE(BM_EngineCore, snort_dense, "Snort",
                   EngineMode::Dense);
 BENCHMARK_CAPTURE(BM_EngineCore, snort_auto, "Snort", EngineMode::Auto);
-BENCHMARK_CAPTURE(BM_DenseKernel, snort_classes, "Snort",
-                  FlatAutomaton::DenseCompression::Classes);
-BENCHMARK_CAPTURE(BM_DenseKernel, snort_raw, "Snort",
-                  FlatAutomaton::DenseCompression::Raw);
-BENCHMARK_CAPTURE(BM_DenseKernel, cav_classes, "CAV",
-                  FlatAutomaton::DenseCompression::Classes);
-BENCHMARK_CAPTURE(BM_DenseKernel, cav_raw, "CAV",
-                  FlatAutomaton::DenseCompression::Raw);
-BENCHMARK_CAPTURE(BM_DenseKernel, pen_classes, "PEN",
-                  FlatAutomaton::DenseCompression::Classes);
-BENCHMARK_CAPTURE(BM_DenseKernel, pen_raw, "PEN",
-                  FlatAutomaton::DenseCompression::Raw);
-BENCHMARK_CAPTURE(BM_DenseKernel, brill_classes, "Brill",
-                  FlatAutomaton::DenseCompression::Classes);
-BENCHMARK_CAPTURE(BM_DenseKernel, brill_raw, "Brill",
-                  FlatAutomaton::DenseCompression::Raw);
-BENCHMARK_CAPTURE(BM_DenseKernel, hm_classes, "HM",
-                  FlatAutomaton::DenseCompression::Classes);
-BENCHMARK_CAPTURE(BM_DenseKernel, hm_raw, "HM",
-                  FlatAutomaton::DenseCompression::Raw);
+BENCHMARK_CAPTURE(BM_DenseKernel, snort, "Snort");
+BENCHMARK_CAPTURE(BM_DenseKernel, cav, "CAV");
+BENCHMARK_CAPTURE(BM_DenseKernel, pen, "PEN");
+BENCHMARK_CAPTURE(BM_DenseKernel, brill, "Brill");
+BENCHMARK_CAPTURE(BM_DenseKernel, hm, "HM");
 BENCHMARK_CAPTURE(BM_HybridCore, bro217_sparse, "Bro217",
                   EngineMode::Sparse);
 BENCHMARK_CAPTURE(BM_HybridCore, bro217_dense, "Bro217",
@@ -486,8 +470,7 @@ registerIsaBenchmarks()
 {
     static const char *const kApps[] = {"Snort", "CAV", "PEN", "Brill"};
     for (simd::Isa isa :
-         {simd::Isa::Scalar, simd::Isa::Sse2, simd::Isa::Avx2,
-          simd::Isa::Avx512}) {
+         {simd::Isa::Scalar, simd::Isa::Avx2, simd::Isa::Avx512}) {
         if (!simd::isaSupported(isa))
             continue;
         for (const char *abbr : kApps) {

@@ -13,7 +13,7 @@
  *   SPARSEAP_ENGINE     functional-engine core: sparse|dense|dfa|auto
  *                       (default auto; see docs/PERFORMANCE.md)
  *   SPARSEAP_SIMD       dense-kernel vector width: auto|off|scalar|
- *                       sse2|avx2|avx512 (default auto = widest the CPU
+ *                       avx2|avx512 (default auto = widest the CPU
  *                       supports; "off" and "scalar" are synonyms; see
  *                       src/common/vec.h)
  *   SPARSEAP_INPUT_SKIP quiescence input skip: auto|on|1 (default)

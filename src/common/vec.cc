@@ -100,57 +100,6 @@ scanForByteMaskScalar(const uint8_t *data, size_t n,
 // fast as aligned ones when the address is aligned (which it is, see
 // vec.h), and they keep the kernels safe on arbitrary tails and spans.
 
-// --------------------------------------------------------------- sse2 --
-
-__attribute__((target("sse2"))) void
-bitAndSse2(uint64_t *dst, const uint64_t *a, const uint64_t *b, size_t n)
-{
-    size_t i = 0;
-    for (; i + 4 <= n; i += 4) {
-        const __m128i a0 = _mm_loadu_si128(
-            reinterpret_cast<const __m128i *>(a + i));
-        const __m128i a1 = _mm_loadu_si128(
-            reinterpret_cast<const __m128i *>(a + i + 2));
-        const __m128i b0 = _mm_loadu_si128(
-            reinterpret_cast<const __m128i *>(b + i));
-        const __m128i b1 = _mm_loadu_si128(
-            reinterpret_cast<const __m128i *>(b + i + 2));
-        _mm_storeu_si128(reinterpret_cast<__m128i *>(dst + i),
-                         _mm_and_si128(a0, b0));
-        _mm_storeu_si128(reinterpret_cast<__m128i *>(dst + i + 2),
-                         _mm_and_si128(a1, b1));
-    }
-    for (; i < n; ++i)
-        dst[i] = a[i] & b[i];
-}
-
-__attribute__((target("sse2"))) void
-orIntoSse2(uint64_t *dst, const uint64_t *src, size_t n)
-{
-    size_t i = 0;
-    for (; i + 2 <= n; i += 2) {
-        const __m128i d = _mm_loadu_si128(
-            reinterpret_cast<const __m128i *>(dst + i));
-        const __m128i s = _mm_loadu_si128(
-            reinterpret_cast<const __m128i *>(src + i));
-        _mm_storeu_si128(reinterpret_cast<__m128i *>(dst + i),
-                         _mm_or_si128(d, s));
-    }
-    for (; i < n; ++i)
-        dst[i] |= src[i];
-}
-
-__attribute__((target("sse2"))) void
-clearSse2(uint64_t *dst, size_t n)
-{
-    const __m128i z = _mm_setzero_si128();
-    size_t i = 0;
-    for (; i + 2 <= n; i += 2)
-        _mm_storeu_si128(reinterpret_cast<__m128i *>(dst + i), z);
-    for (; i < n; ++i)
-        dst[i] = 0;
-}
-
 // --------------------------------------------------------------- avx2 --
 
 __attribute__((target("avx2"))) void
@@ -521,15 +470,6 @@ constexpr Ops kScalarOps{bitAndScalar,       orIntoScalar,
                          Isa::Scalar};
 
 #if SPARSEAP_VEC_X86
-// The SSE2 tier keeps the scalar bodies for the shift/summary/scan ops:
-// the scalar loops already compile to baseline SSE2 (and the shuffle
-// classifier needs SSSE3's pshufb anyway) — the tier exists as a
-// correctness reference, not a speed target.
-constexpr Ops kSse2Ops{bitAndSse2,         orIntoSse2,
-                       clearSse2,          andNotIntoScalar,
-                       shiftOrIntoScalar,  nonzeroWordsScalar,
-                       popcountScalar,     scanForByteMaskScalar,
-                       Isa::Sse2};
 constexpr Ops kAvx2Ops{bitAndAvx2,       orIntoAvx2,
                        clearAvx2,        andNotIntoAvx2,
                        shiftOrIntoAvx2,  nonzeroWordsAvx2,
@@ -555,8 +495,6 @@ tableFor(Isa isa)
     case Isa::Scalar:
         return &kScalarOps;
 #if SPARSEAP_VEC_X86
-    case Isa::Sse2:
-        return &kSse2Ops;
     case Isa::Avx2:
         return &kAvx2Ops;
     case Isa::Avx512:
@@ -564,7 +502,6 @@ tableFor(Isa isa)
                    ? &kAvx512PopcntOps
                    : &kAvx512Ops;
 #else
-    case Isa::Sse2:
     case Isa::Avx2:
     case Isa::Avx512:
         return &kScalarOps;
@@ -582,10 +519,6 @@ parseSimd(const std::string &s, Isa *isa)
 {
     if (s == "off" || s == "scalar") {
         *isa = Isa::Scalar;
-        return true;
-    }
-    if (s == "sse2") {
-        *isa = Isa::Sse2;
         return true;
     }
     if (s == "avx2") {
@@ -606,8 +539,8 @@ resolve()
     Isa isa = bestIsa();
     if (req != "auto") {
         if (!parseSimd(req, &isa))
-            fatal("SPARSEAP_SIMD must be auto, off, scalar, sse2, avx2 "
-                  "or avx512, got '",
+            fatal("SPARSEAP_SIMD must be auto, off, scalar, avx2 or "
+                  "avx512, got '",
                   req, "'");
         if (!isaSupported(isa))
             fatal("SPARSEAP_SIMD=", req,
@@ -652,8 +585,6 @@ isaName(Isa isa)
     switch (isa) {
     case Isa::Scalar:
         return "scalar";
-    case Isa::Sse2:
-        return "sse2";
     case Isa::Avx2:
         return "avx2";
     case Isa::Avx512:
@@ -669,15 +600,12 @@ isaSupported(Isa isa)
     case Isa::Scalar:
         return true;
 #if SPARSEAP_VEC_X86
-    case Isa::Sse2:
-        return __builtin_cpu_supports("sse2");
     case Isa::Avx2:
         return __builtin_cpu_supports("avx2");
     case Isa::Avx512:
         return __builtin_cpu_supports("avx512f") &&
                __builtin_cpu_supports("avx512bw");
 #else
-    case Isa::Sse2:
     case Isa::Avx2:
     case Isa::Avx512:
         return false;
@@ -693,8 +621,6 @@ bestIsa()
         return Isa::Avx512;
     if (isaSupported(Isa::Avx2))
         return Isa::Avx2;
-    if (isaSupported(Isa::Sse2))
-        return Isa::Sse2;
     return Isa::Scalar;
 }
 

@@ -12,14 +12,17 @@
  *
  *   simd::ops().bitAnd(act, enabled, accept, words);
  *
- * Four implementations are compiled into every binary via function-level
- * target attributes (no special -m flags needed): portable scalar,
- * SSE2 (128-bit), AVX2 (256-bit) and AVX-512BW (512-bit). The table is
+ * Three implementations are compiled into every binary via
+ * function-level target attributes (no special -m flags needed):
+ * portable scalar, AVX2 (256-bit) and AVX-512BW (512-bit). The table is
  * resolved ONCE at first use from CPUID — the hot loops pay one cached
  * pointer load, never a per-element branch — and can be overridden:
  *
- *   SPARSEAP_SIMD=auto|off|scalar|sse2|avx2|avx512   (process-wide)
- *   simd::setIsa(Isa)                                 (tests/benches)
+ *   SPARSEAP_SIMD=auto|off|scalar|avx2|avx512   (process-wide)
+ *   simd::setIsa(Isa)                            (tests/benches)
+ *
+ * A host without AVX2 runs the scalar tier, whose plain loops are
+ * auto-vectorizable at the baseline width.
  *
  * "off" and "scalar" are synonyms. Requesting an ISA the CPU lacks is a
  * fatal configuration error for the env var and a false return for
@@ -44,15 +47,18 @@
 namespace sparseap {
 namespace simd {
 
-/** Instruction-set tiers, in strictly increasing width/capability. */
+/**
+ * Instruction-set tiers, in strictly increasing width/capability. The
+ * values are exported as the engine.simd_isa gauge and stay fixed, so
+ * 1 (a retired 128-bit tier) is never emitted.
+ */
 enum class Isa : uint8_t {
     Scalar = 0, ///< portable uint64_t loops (auto-vectorizable)
-    Sse2,       ///< 128-bit integer SSE2 (baseline on x86-64)
-    Avx2,       ///< 256-bit integer AVX2
-    Avx512,     ///< 512-bit AVX-512BW
+    Avx2 = 2,   ///< 256-bit integer AVX2
+    Avx512 = 3, ///< 512-bit AVX-512BW
 };
 
-/** @return "scalar", "sse2", "avx2" or "avx512". */
+/** @return "scalar", "avx2" or "avx512". */
 const char *isaName(Isa isa);
 
 /**

@@ -30,8 +30,6 @@ flatArtifactKey(const LoadedApp &app)
     return store::DigestBuilder()
         .add("flat")
         .add(app.cacheKey)
-        .add(static_cast<uint64_t>(
-            FlatAutomaton::DenseCompression::Classes))
         .digest();
 }
 

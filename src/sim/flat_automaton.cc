@@ -12,11 +12,11 @@ namespace sparseap {
 namespace {
 
 /**
- * Compute the DenseView's derived execution accelerators — the chain
- * mask and the dense start-dispatch rows (see their field docs) — from
- * the already-installed CSR spans. Called by both construction paths
- * (flatten and store-decode); the results live in the view's owned
- * storage and are never serialized, so the store format is unaffected.
+ * Compute the DenseView's derived fields — the chain mask, the dense
+ * start-dispatch rows and the quiescent scan set (see their field
+ * docs) — from the already-installed CSR spans. Called by both
+ * construction paths (flatten and store-decode); the results live in
+ * the view itself and are never serialized.
  */
 void
 computeDerivedArrays(FlatAutomaton::DenseView &dv)
@@ -72,9 +72,7 @@ computeDerivedArrays(FlatAutomaton::DenseView &dv)
 
 } // namespace
 
-FlatAutomaton::FlatAutomaton(const Application &app,
-                             DenseCompression compression)
-    : compression_(compression)
+FlatAutomaton::FlatAutomaton(const Application &app)
 {
     SPARSEAP_PHASE("flatten");
     const size_t n = app.totalStates();
@@ -148,10 +146,9 @@ FlatAutomaton::FlatAutomaton(const Parts &parts)
       start_table_begin_(parts.startTableBegin),
       start_table_(parts.startTable), sod_starts_(parts.sodStarts),
       all_input_starts_(parts.allInputStarts), class_rep_(parts.classRep),
-      compression_(parts.compression), class_count_(parts.classCount)
+      class_count_(parts.classCount)
 {
-    SPARSEAP_ASSERT(parts.classOf.size() == 256 &&
-                        parts.dense.classOf.size() == 256,
+    SPARSEAP_ASSERT(parts.classOf.size() == 256,
                     "malformed FlatAutomaton parts");
     std::copy(parts.classOf.begin(), parts.classOf.end(),
               class_of_.begin());
@@ -160,30 +157,11 @@ FlatAutomaton::FlatAutomaton(const Parts &parts)
     // stored automaton always carries one, so nothing is ever rebuilt.
     std::call_once(dense_once_, [&] {
         auto dv = std::make_unique<DenseView>();
-        const Parts::Dense &d = parts.dense;
-        dv->words = d.words;
-        dv->stride = DenseView::strideFor(d.words);
-        dv->classes = d.classes;
-        std::copy(d.classOf.begin(), d.classOf.end(),
-                  dv->classOf.begin());
-        dv->accept = d.accept;
-        dv->reporting = d.reporting;
-        dv->allInputStarts = d.allInputStarts;
-        dv->sodStarts = d.sodStarts;
-        dv->latchable = d.latchable;
-        dv->succBegin = d.succBegin;
-        dv->succWordIdx = d.succWordIdx;
-        dv->succWordMask = d.succWordMask;
-        dv->startBegin = d.startBegin;
-        dv->startWordIdx = d.startWordIdx;
-        dv->startWordMask = d.startWordMask;
-        dv->startSuccBegin = d.startSuccBegin;
-        dv->startSuccWordIdx = d.startSuccWordIdx;
-        dv->startSuccWordMask = d.startSuccWordMask;
+        static_cast<DenseArrays &>(*dv) = parts.dense;
+        dv->stride = DenseView::strideFor(dv->words);
+        dv->classes = class_count_;
+        dv->classOf = class_of_;
         computeDerivedArrays(*dv);
-        if (d.scanMask.size() == dv->staticScan.size())
-            std::copy(d.scanMask.begin(), d.scanMask.end(),
-                      dv->staticScan.begin());
         dense_ = std::move(dv);
     });
 }
@@ -191,9 +169,7 @@ FlatAutomaton::FlatAutomaton(const Parts &parts)
 FlatAutomaton::Parts
 FlatAutomaton::parts() const
 {
-    const DenseView &dv = denseView();
     Parts p;
-    p.compression = compression_;
     p.classCount = static_cast<uint32_t>(class_count_);
     p.classOf = {class_of_.data(), class_of_.size()};
     p.classRep = class_rep_;
@@ -206,27 +182,8 @@ FlatAutomaton::parts() const
     p.startTable = start_table_;
     p.sodStarts = sod_starts_;
     p.allInputStarts = all_input_starts_;
+    p.dense = denseView();
     p.backing = backing_;
-
-    Parts::Dense &d = p.dense;
-    d.words = dv.words;
-    d.classes = dv.classes;
-    d.classOf = {dv.classOf.data(), dv.classOf.size()};
-    d.accept = dv.accept;
-    d.reporting = dv.reporting;
-    d.allInputStarts = dv.allInputStarts;
-    d.sodStarts = dv.sodStarts;
-    d.latchable = dv.latchable;
-    d.succBegin = dv.succBegin;
-    d.succWordIdx = dv.succWordIdx;
-    d.succWordMask = dv.succWordMask;
-    d.startBegin = dv.startBegin;
-    d.startWordIdx = dv.startWordIdx;
-    d.startWordMask = dv.startWordMask;
-    d.startSuccBegin = dv.startSuccBegin;
-    d.startSuccWordIdx = dv.startSuccWordIdx;
-    d.startSuccWordMask = dv.startSuccWordMask;
-    d.scanMask = {dv.staticScan.data(), dv.staticScan.size()};
     return p;
 }
 
@@ -318,14 +275,8 @@ FlatAutomaton::denseView() const
         const size_t n = size();
         dv->words = wordsForBits(n);
         dv->stride = DenseView::strideFor(dv->words);
-        if (compression_ == DenseCompression::Raw) {
-            dv->classes = 256;
-            for (unsigned b = 0; b < 256; ++b)
-                dv->classOf[b] = static_cast<uint8_t>(b);
-        } else {
-            dv->classes = class_count_;
-            dv->classOf = class_of_;
-        }
+        dv->classes = class_count_;
+        dv->classOf = class_of_;
         own.accept.assign(dv->classes * dv->stride, 0);
         own.reporting.assign(dv->words, 0);
         own.allInputStarts.assign(dv->words, 0);
@@ -426,13 +377,9 @@ FlatAutomaton::denseView() const
             own.startBegin.push_back(
                 static_cast<uint32_t>(own.startWordIdx.size()));
 
-            const uint8_t rep =
-                compression_ == DenseCompression::Raw
-                    ? static_cast<uint8_t>(c)
-                    : class_rep_[c];
             std::fill(contrib.begin(), contrib.end(), 0);
             for (GlobalStateId s : all_input_starts_) {
-                if (reporting_[s] || !symbols_[s].test(rep))
+                if (reporting_[s] || !symbols_[s].test(class_rep_[c]))
                     continue;
                 for (uint32_t k = own.succBegin[s];
                      k < own.succBegin[s + 1]; ++k)

@@ -45,19 +45,7 @@ class HotDfa;
 class FlatAutomaton
 {
   public:
-    /**
-     * Accept-table layout of the dense view. Classes is the default;
-     * Raw keeps the uncompressed 256-row table and exists so the
-     * benchmarks can measure exactly what the compression buys.
-     */
-    enum class DenseCompression : uint8_t {
-        Classes, ///< one accept row per byte-equivalence class
-        Raw,     ///< one accept row per byte (reference layout)
-    };
-
-    explicit FlatAutomaton(
-        const Application &app,
-        DenseCompression compression = DenseCompression::Classes);
+    explicit FlatAutomaton(const Application &app);
 
     /** Number of states. */
     size_t size() const { return symbols_.size(); }
@@ -116,36 +104,18 @@ class FlatAutomaton
         return class_rep_[cls];
     }
 
-    /** Accept-table layout this automaton was flattened with. */
-    DenseCompression compression() const { return compression_; }
-
     /**
-     * Column-major bit-parallel view for the dense execution core. Where
-     * the row-major symbols() array answers "which bytes does state s
-     * accept", the accept table answers "which states accept byte b" as
-     * one ⌈N/64⌉-word row per symbol — the word-AND analogue of the AP
-     * row decoder driving all matching STE columns at once. Equivalent
-     * byte columns share one physical row (see classOf), so the table
-     * holds symbolClassCount() rows instead of 256 unless the automaton
-     * was flattened with DenseCompression::Raw.
+     * The dense view's persisted arrays: the row width and the 14 spans
+     * the artifact store writes and a warm load adopts as-is. DenseView
+     * extends it with the fields derived at install time, and Parts
+     * carries it, so each side copies the other in one assignment.
      */
-    struct DenseView
+    struct DenseArrays
     {
         /** Words per state-set row: ceil(size() / 64). */
         size_t words = 0;
-        /**
-         * Accept-row stride in words: words rounded up to a multiple of
-         * 8 (one cache line), so every row starts 64-byte aligned — the
-         * base vector is 64-byte aligned by WordVector's allocator (or
-         * the store's section alignment). Padding words are zero.
-         */
-        size_t stride = 0;
-        /** Number of accept rows (#classes, or 256 for Raw). */
-        size_t classes = 0;
-        /** byte -> accept row translation (identity for Raw). */
-        std::array<uint8_t, 256> classOf{};
-        /** classes rows x words: bit s of row classOf[b] set iff s
-         *  accepts byte b. */
+        /** symbolClassCount() rows x DenseView::strideFor(words) words:
+         *  bit s of row symbolClass(b) set iff s accepts byte b. */
         std::span<const uint64_t> accept;
         /** Reporting states, one row. */
         std::span<const uint64_t> reporting;
@@ -201,12 +171,37 @@ class FlatAutomaton
          * replacing per-bit CSR propagation from every matching start
          * on every cycle.
          */
-        std::span<const uint32_t> startBegin; ///< classes+1 entries
+        std::span<const uint32_t> startBegin; ///< #classes+1 entries
         std::span<const uint32_t> startWordIdx;
         std::span<const uint64_t> startWordMask;
-        std::span<const uint32_t> startSuccBegin; ///< classes+1 entries
+        std::span<const uint32_t> startSuccBegin; ///< #classes+1 entries
         std::span<const uint32_t> startSuccWordIdx;
         std::span<const uint64_t> startSuccWordMask;
+    };
+
+    /**
+     * Column-major bit-parallel view for the dense execution core. Where
+     * the row-major symbols() array answers "which bytes does state s
+     * accept", the accept table answers "which states accept byte b" as
+     * one ⌈N/64⌉-word row per symbol — the word-AND analogue of the AP
+     * row decoder driving all matching STE columns at once. Equivalent
+     * byte columns share one physical row (see classOf), so the table
+     * holds symbolClassCount() rows instead of 256.
+     */
+    struct DenseView : DenseArrays
+    {
+        /**
+         * Accept-row stride in words: words rounded up to a multiple of
+         * 8 (one cache line), so every row starts 64-byte aligned — the
+         * base vector is 64-byte aligned by WordVector's allocator (or
+         * the store's section alignment). Padding words are zero.
+         */
+        size_t stride = 0;
+        /** Number of accept rows: symbolClassCount(). */
+        size_t classes = 0;
+        /** byte -> accept row translation: the automaton's class map,
+         *  held here because the dense core reads it every symbol. */
+        std::array<uint8_t, 256> classOf{};
 
         /**
          * Chain states, one row (derived from the successor CSR at
@@ -245,10 +240,10 @@ class FlatAutomaton
          * The dense core scans the input for the next such byte
          * (simd::Ops::scanForByteMask) whenever it detects quiescence
          * and jumps the cursor — the software form of the paper's SpAP
-         * jump operation, applied in the input dimension. Persisted as
-         * a store v3 section; recomputed from the dispatch CSRs when
-         * absent. Configurations with latched permanents need a wider
-         * mask, which DenseCore derives at run time from this one.
+         * jump operation, applied in the input dimension. Derived from
+         * the dispatch CSRs on both construction paths, never stored.
+         * Configurations with latched permanents need a wider mask,
+         * which DenseCore derives at run time from this one.
          */
         std::array<uint64_t, 4> staticScan{};
 
@@ -341,7 +336,6 @@ class FlatAutomaton
      */
     struct Parts
     {
-        DenseCompression compression = DenseCompression::Classes;
         uint32_t classCount = 1;
         std::span<const uint8_t> classOf; ///< 256 entries
         std::span<const uint8_t> classRep;
@@ -355,29 +349,8 @@ class FlatAutomaton
         std::span<const GlobalStateId> sodStarts;
         std::span<const GlobalStateId> allInputStarts;
 
-        struct Dense
-        {
-            uint64_t words = 0;
-            uint64_t classes = 0;
-            std::span<const uint8_t> classOf; ///< 256 entries
-            std::span<const uint64_t> accept;
-            std::span<const uint64_t> reporting;
-            std::span<const uint64_t> allInputStarts;
-            std::span<const uint64_t> sodStarts;
-            std::span<const uint64_t> latchable;
-            std::span<const uint32_t> succBegin;
-            std::span<const uint32_t> succWordIdx;
-            std::span<const uint64_t> succWordMask;
-            std::span<const uint32_t> startBegin;
-            std::span<const uint32_t> startWordIdx;
-            std::span<const uint64_t> startWordMask;
-            std::span<const uint32_t> startSuccBegin;
-            std::span<const uint32_t> startSuccWordIdx;
-            std::span<const uint64_t> startSuccWordMask;
-            /** Quiescent scan set (4 words); empty when decoded from a
-             *  pre-v3 blob — the view recomputes it then. */
-            std::span<const uint64_t> scanMask;
-        } dense;
+        /** The dense view's persisted arrays. */
+        DenseArrays dense;
 
         /** Keeps the spans' storage alive (a store mapping). */
         std::shared_ptr<const void> backing;
@@ -390,9 +363,9 @@ class FlatAutomaton
      * Zero-copy construction from decoded artifact parts: every span is
      * adopted as-is (typically aliasing a read-only store mapping kept
      * alive by parts.backing) and the dense view is installed
-     * immediately. The store codec validates structural consistency
-     * before calling this; blob checksums guarantee the bytes are
-     * exactly what an in-process flattening wrote.
+     * immediately. The store codec checks every array's size and every
+     * index's range before calling this, so the spans are safe to step
+     * even when the blob came from an untrusted writer.
      */
     explicit FlatAutomaton(const Parts &parts);
 
@@ -429,7 +402,6 @@ class FlatAutomaton
     std::span<const GlobalStateId> all_input_starts_;
     std::span<const uint8_t> class_rep_;
 
-    DenseCompression compression_;
     std::array<uint8_t, 256> class_of_{};
     size_t class_count_ = 1;
 

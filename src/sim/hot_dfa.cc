@@ -215,16 +215,12 @@ HotDfa::fromParts(const Parts &parts, const FlatAutomaton &fa)
     dfa->table_ = parts.table;
     dfa->report_begin_ = parts.reportBegin;
     dfa->report_ids_ = parts.reportIds;
+    dfa->skip_index_ = parts.skipIndex;
+    dfa->skip_bits_ = parts.skipBits;
     dfa->backing_ = parts.backing;
-    if (parts.skipIndex.size() == parts.states) {
-        // v3 blob: attach the persisted skip tables; only the shuffle
-        // nibble tables are derived here.
-        dfa->skip_index_ = parts.skipIndex;
-        dfa->skip_bits_ = parts.skipBits;
-        dfa->deriveSkipMasks();
-    } else {
-        dfa->buildSkipTables();
-    }
+    // Only the shuffle nibble tables are derived; the skip tables
+    // themselves are adopted as stored.
+    dfa->deriveSkipMasks();
     return dfa;
 }
 

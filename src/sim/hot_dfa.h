@@ -111,8 +111,8 @@ class HotDfa
      * so while the DFA sits in it, the driver may scan the input
      * (simd::Ops::scanForByteMask) and jump straight to the next byte
      * that moves the machine. Precomputed for every state from the
-     * transition table (256 probes per state), persisted as store v3
-     * sections, rebuilt when attaching a pre-v3 blob.
+     * transition table (256 probes per state) and persisted with the
+     * DFA's store sections, so a warm attach adopts them as-is.
      */
     const simd::ScanMask *
     skipMask(uint32_t state) const
@@ -140,11 +140,10 @@ class HotDfa
         std::span<const uint32_t> reportBegin; ///< states + 1
         std::span<const GlobalStateId> reportIds;
         /**
-         * Input-skip sections (store v3): skipIndex has one entry per
-         * state (0 = not skippable, else 1 + mask number) and skipBits
-         * four words per mask (the raw 256-bit interesting-byte sets —
-         * the shuffle nibble tables are derived at attach). Empty when
-         * decoded from a pre-v3 blob; fromParts recomputes them then.
+         * Input-skip tables: skipIndex has one entry per state (0 = not
+         * skippable, else 1 + mask number) and skipBits four words per
+         * mask (the raw 256-bit interesting-byte sets — the shuffle
+         * nibble tables are derived at attach).
          */
         std::span<const uint32_t> skipIndex;
         std::span<const uint64_t> skipBits;
@@ -155,9 +154,10 @@ class HotDfa
     Parts parts() const;
 
     /**
-     * Zero-copy construction from decoded parts; the byte→class map is
-     * taken from @p fa (the automaton the DFA was built from). The
-     * store codec validates structural consistency before calling this.
+     * Zero-copy construction from decoded parts, skip tables included;
+     * the byte→class map is taken from @p fa (the automaton the DFA was
+     * built from). The store codec validates structural consistency
+     * before calling this.
      */
     static std::shared_ptr<const HotDfa> fromParts(const Parts &parts,
                                                    const FlatAutomaton &fa);

@@ -1,6 +1,6 @@
 #include "store/artifact.h"
 
-#include <numeric>
+#include <algorithm>
 
 #include "common/word_vector.h"
 #include "sim/hot_dfa.h"
@@ -64,6 +64,41 @@ sizeIs(size_t got, size_t want, std::string *error, const char *what)
     return false;
 }
 
+// The two range checks below walk whole sections on every load. They
+// are branch-free reductions rather than early-exit scans, so the loop
+// bodies stay vectorizable; a valid blob is the common case.
+
+/** Fail unless every entry of @p ids is below @p bound. */
+template <typename T>
+bool
+allBelow(std::span<const T> ids, uint64_t bound, std::string *error,
+         const char *what)
+{
+    T top = 0;
+    for (const T id : ids)
+        top = std::max(top, id);
+    if (ids.empty() || top < bound)
+        return true;
+    *error = std::string("index out of range: ") + what + " holds " +
+             std::to_string(top) + ", bound " + std::to_string(bound);
+    return false;
+}
+
+/** Fail unless @p begin is nondecreasing and ends at @p size. */
+bool
+csrOk(std::span<const uint32_t> begin, size_t size, std::string *error,
+      const char *what)
+{
+    bool sorted = true;
+    for (size_t i = 1; i < begin.size(); ++i)
+        sorted &= begin[i - 1] <= begin[i];
+    if (sorted && begin.back() == size)
+        return true;
+    *error = std::string("malformed CSR offsets: ") + what +
+             " decreases or does not end at its array size";
+    return false;
+}
+
 } // namespace
 
 // ------------------------------------------------------ FlatAutomaton --
@@ -77,9 +112,7 @@ encodeFlatAutomaton(const FlatAutomaton &fa, BlobWriter &w, uint32_t base)
     meta.states = p.symbols.size();
     meta.succCount = p.succ.size();
     meta.classCount = p.classCount;
-    meta.compression = static_cast<uint8_t>(p.compression);
     meta.denseWords = p.dense.words;
-    meta.denseClasses = p.dense.classes;
     w.addSection(base + kFaMeta, &meta, sizeof(meta),
                  static_cast<uint32_t>(sizeof(meta)));
 
@@ -95,8 +128,7 @@ encodeFlatAutomaton(const FlatAutomaton &fa, BlobWriter &w, uint32_t base)
     w.addSpan(base + kFaClassOf, p.classOf);
     w.addSpan(base + kFaClassRep, p.classRep);
 
-    const FlatAutomaton::Parts::Dense &d = p.dense;
-    w.addSpan(base + kFaDenseClassOf, d.classOf);
+    const FlatAutomaton::DenseArrays &d = p.dense;
     w.addSpan(base + kFaDenseAccept, d.accept);
     w.addSpan(base + kFaDenseReporting, d.reporting);
     w.addSpan(base + kFaDenseAllInputStarts, d.allInputStarts);
@@ -111,7 +143,6 @@ encodeFlatAutomaton(const FlatAutomaton &fa, BlobWriter &w, uint32_t base)
     w.addSpan(base + kFaDenseStartSuccBegin, d.startSuccBegin);
     w.addSpan(base + kFaDenseStartSuccWordIdx, d.startSuccWordIdx);
     w.addSpan(base + kFaDenseStartSuccWordMask, d.startSuccWordMask);
-    w.addSpan(base + kFaDenseScanMask, d.scanMask);
 
     // Persist the hot DFA when one had been determinized by encode time
     // (encodePreparedPartition forces the attempt for hot fragments).
@@ -136,212 +167,170 @@ encodeFlatAutomaton(const FlatAutomaton &fa, BlobWriter &w, uint32_t base)
 std::unique_ptr<FlatAutomaton>
 decodeFlatAutomaton(const BlobView &blob, uint32_t base, std::string *error)
 {
+    // Every check records its failure, naming the section, in *error.
+    const auto need = [&](uint32_t id, auto *out, const char *what) {
+        return grab(blob, base + id, out, error, what);
+    };
+    const auto sized = [&](size_t got, size_t want, const char *what) {
+        return sizeIs(got, want, error, what);
+    };
+    const auto below = [&](auto ids, uint64_t bound, const char *what) {
+        return allBelow(ids, bound, error, what);
+    };
+    const auto csr = [&](std::span<const uint32_t> begin, size_t size,
+                         const char *what) {
+        return csrOk(begin, size, error, what);
+    };
+
     const FaMeta *meta = nullptr;
     if (!grabMeta(blob, base + kFaMeta, &meta, error, "FaMeta"))
         return nullptr;
-    if (meta->classCount < 1 || meta->classCount > 256 ||
-        meta->compression >
-            static_cast<uint8_t>(FlatAutomaton::DenseCompression::Raw)) {
+    if (meta->classCount < 1 || meta->classCount > 256) {
         *error = "FaMeta holds out-of-range values";
         return nullptr;
     }
     const size_t n = meta->states;
+    const size_t classes = meta->classCount;
 
     FlatAutomaton::Parts p;
-    p.compression =
-        static_cast<FlatAutomaton::DenseCompression>(meta->compression);
     p.classCount = meta->classCount;
-    if (!grab(blob, base + kFaSymbols, &p.symbols, error, "symbols") ||
-        !grab(blob, base + kFaReporting, &p.reporting, error,
-              "reporting") ||
-        !grab(blob, base + kFaStart, &p.start, error, "start") ||
-        !grab(blob, base + kFaSuccBegin, &p.succBegin, error,
-              "succBegin") ||
-        !grab(blob, base + kFaSucc, &p.succ, error, "succ") ||
-        !grab(blob, base + kFaStartTableBegin, &p.startTableBegin, error,
-              "startTableBegin") ||
-        !grab(blob, base + kFaStartTable, &p.startTable, error,
-              "startTable") ||
-        !grab(blob, base + kFaSodStarts, &p.sodStarts, error,
-              "sodStarts") ||
-        !grab(blob, base + kFaAllInputStarts, &p.allInputStarts, error,
-              "allInputStarts") ||
-        !grab(blob, base + kFaClassOf, &p.classOf, error, "classOf") ||
-        !grab(blob, base + kFaClassRep, &p.classRep, error, "classRep")) {
+    if (!need(kFaSymbols, &p.symbols, "symbols") ||
+        !need(kFaReporting, &p.reporting, "reporting") ||
+        !need(kFaStart, &p.start, "start") ||
+        !need(kFaSuccBegin, &p.succBegin, "succBegin") ||
+        !need(kFaSucc, &p.succ, "succ") ||
+        !need(kFaStartTableBegin, &p.startTableBegin, "startTableBegin") ||
+        !need(kFaStartTable, &p.startTable, "startTable") ||
+        !need(kFaSodStarts, &p.sodStarts, "sodStarts") ||
+        !need(kFaAllInputStarts, &p.allInputStarts, "allInputStarts") ||
+        !need(kFaClassOf, &p.classOf, "classOf") ||
+        !need(kFaClassRep, &p.classRep, "classRep")) {
         return nullptr;
     }
-    if (!sizeIs(p.symbols.size(), n, error, "symbols") ||
-        !sizeIs(p.reporting.size(), n, error, "reporting") ||
-        !sizeIs(p.start.size(), n, error, "start") ||
-        !sizeIs(p.succBegin.size(), n + 1, error, "succBegin") ||
-        !sizeIs(p.succ.size(), meta->succCount, error, "succ") ||
-        !sizeIs(p.classOf.size(), 256, error, "classOf") ||
-        !sizeIs(p.classRep.size(), meta->classCount, error, "classRep") ||
-        !sizeIs(p.startTableBegin.size(), meta->classCount + 1, error,
-                "startTableBegin")) {
+    if (!sized(p.symbols.size(), n, "symbols") ||
+        !sized(p.reporting.size(), n, "reporting") ||
+        !sized(p.start.size(), n, "start") ||
+        !sized(p.succBegin.size(), n + 1, "succBegin") ||
+        !sized(p.succ.size(), meta->succCount, "succ") ||
+        !sized(p.classOf.size(), 256, "classOf") ||
+        !sized(p.classRep.size(), classes, "classRep") ||
+        !sized(p.startTableBegin.size(), classes + 1, "startTableBegin")) {
         return nullptr;
     }
-    if (n != 0 &&
-        (p.succBegin.back() != p.succ.size() ||
-         p.startTableBegin.back() != p.startTable.size())) {
-        *error = "CSR end offsets disagree with array sizes";
+    if (!csr(p.succBegin, p.succ.size(), "succBegin") ||
+        !csr(p.startTableBegin, p.startTable.size(), "startTableBegin") ||
+        !below(p.classOf, classes, "classOf") ||
+        !below(p.succ, n, "succ") ||
+        !below(p.startTable, n, "startTable") ||
+        !below(p.sodStarts, n, "sodStarts") ||
+        !below(p.allInputStarts, n, "allInputStarts")) {
         return nullptr;
     }
 
-    FlatAutomaton::Parts::Dense &d = p.dense;
+    FlatAutomaton::DenseArrays &d = p.dense;
     d.words = meta->denseWords;
-    d.classes = meta->denseClasses;
-    if (d.words != wordsForBits(n) ||
-        (d.classes != meta->classCount && d.classes != 256)) {
-        *error = "dense geometry disagrees with FaMeta";
+    if (d.words != wordsForBits(n)) {
+        *error = "dense row width disagrees with FaMeta";
         return nullptr;
     }
-    if (!grab(blob, base + kFaDenseClassOf, &d.classOf, error,
-              "dense classOf") ||
-        !grab(blob, base + kFaDenseAccept, &d.accept, error,
-              "dense accept") ||
-        !grab(blob, base + kFaDenseReporting, &d.reporting, error,
-              "dense reporting") ||
-        !grab(blob, base + kFaDenseAllInputStarts, &d.allInputStarts,
-              error, "dense allInputStarts") ||
-        !grab(blob, base + kFaDenseSodStarts, &d.sodStarts, error,
-              "dense sodStarts") ||
-        !grab(blob, base + kFaDenseLatchable, &d.latchable, error,
-              "dense latchable") ||
-        !grab(blob, base + kFaDenseSuccBegin, &d.succBegin, error,
-              "dense succBegin") ||
-        !grab(blob, base + kFaDenseSuccWordIdx, &d.succWordIdx, error,
-              "dense succWordIdx") ||
-        !grab(blob, base + kFaDenseSuccWordMask, &d.succWordMask, error,
+    if (!need(kFaDenseAccept, &d.accept, "dense accept") ||
+        !need(kFaDenseReporting, &d.reporting, "dense reporting") ||
+        !need(kFaDenseAllInputStarts, &d.allInputStarts,
+              "dense allInputStarts") ||
+        !need(kFaDenseSodStarts, &d.sodStarts, "dense sodStarts") ||
+        !need(kFaDenseLatchable, &d.latchable, "dense latchable") ||
+        !need(kFaDenseSuccBegin, &d.succBegin, "dense succBegin") ||
+        !need(kFaDenseSuccWordIdx, &d.succWordIdx, "dense succWordIdx") ||
+        !need(kFaDenseSuccWordMask, &d.succWordMask,
               "dense succWordMask") ||
-        !grab(blob, base + kFaDenseStartBegin, &d.startBegin, error,
-              "dense startBegin") ||
-        !grab(blob, base + kFaDenseStartWordIdx, &d.startWordIdx, error,
+        !need(kFaDenseStartBegin, &d.startBegin, "dense startBegin") ||
+        !need(kFaDenseStartWordIdx, &d.startWordIdx,
               "dense startWordIdx") ||
-        !grab(blob, base + kFaDenseStartWordMask, &d.startWordMask, error,
+        !need(kFaDenseStartWordMask, &d.startWordMask,
               "dense startWordMask") ||
-        !grab(blob, base + kFaDenseStartSuccBegin, &d.startSuccBegin,
-              error, "dense startSuccBegin") ||
-        !grab(blob, base + kFaDenseStartSuccWordIdx, &d.startSuccWordIdx,
-              error, "dense startSuccWordIdx") ||
-        !grab(blob, base + kFaDenseStartSuccWordMask, &d.startSuccWordMask,
-              error, "dense startSuccWordMask")) {
+        !need(kFaDenseStartSuccBegin, &d.startSuccBegin,
+              "dense startSuccBegin") ||
+        !need(kFaDenseStartSuccWordIdx, &d.startSuccWordIdx,
+              "dense startSuccWordIdx") ||
+        !need(kFaDenseStartSuccWordMask, &d.startSuccWordMask,
+              "dense startSuccWordMask")) {
         return nullptr;
     }
-    if (!sizeIs(d.classOf.size(), 256, error, "dense classOf") ||
-        !sizeIs(d.accept.size(),
-                d.classes * FlatAutomaton::DenseView::strideFor(d.words),
-                error,
-                "dense accept") ||
-        !sizeIs(d.reporting.size(), d.words, error, "dense reporting") ||
-        !sizeIs(d.allInputStarts.size(), d.words, error,
-                "dense allInputStarts") ||
-        !sizeIs(d.sodStarts.size(), d.words, error, "dense sodStarts") ||
-        !sizeIs(d.latchable.size(), d.words, error, "dense latchable") ||
-        !sizeIs(d.succBegin.size(), n + 1, error, "dense succBegin") ||
-        !sizeIs(d.succWordMask.size(), d.succWordIdx.size(), error,
-                "dense succWordMask") ||
-        !sizeIs(d.startBegin.size(), d.classes + 1, error,
-                "dense startBegin") ||
-        !sizeIs(d.startWordMask.size(), d.startWordIdx.size(), error,
-                "dense startWordMask") ||
-        !sizeIs(d.startSuccBegin.size(), d.classes + 1, error,
-                "dense startSuccBegin") ||
-        !sizeIs(d.startSuccWordMask.size(), d.startSuccWordIdx.size(),
-                error, "dense startSuccWordMask")) {
+    const size_t stride = FlatAutomaton::DenseView::strideFor(d.words);
+    if (!sized(d.accept.size(), classes * stride, "dense accept") ||
+        !sized(d.reporting.size(), d.words, "dense reporting") ||
+        !sized(d.allInputStarts.size(), d.words, "dense allInputStarts") ||
+        !sized(d.sodStarts.size(), d.words, "dense sodStarts") ||
+        !sized(d.latchable.size(), d.words, "dense latchable") ||
+        !sized(d.succBegin.size(), n + 1, "dense succBegin") ||
+        !sized(d.succWordMask.size(), d.succWordIdx.size(),
+               "dense succWordMask") ||
+        !sized(d.startBegin.size(), classes + 1, "dense startBegin") ||
+        !sized(d.startWordMask.size(), d.startWordIdx.size(),
+               "dense startWordMask") ||
+        !sized(d.startSuccBegin.size(), classes + 1,
+               "dense startSuccBegin") ||
+        !sized(d.startSuccWordMask.size(), d.startSuccWordIdx.size(),
+               "dense startSuccWordMask")) {
         return nullptr;
     }
-    if ((n != 0 && d.succBegin.back() != d.succWordIdx.size()) ||
-        d.startBegin.back() != d.startWordIdx.size() ||
-        d.startSuccBegin.back() != d.startSuccWordIdx.size()) {
-        *error = "dense CSR end offsets disagree with array sizes";
+    if (!csr(d.succBegin, d.succWordIdx.size(), "dense succBegin") ||
+        !csr(d.startBegin, d.startWordIdx.size(), "dense startBegin") ||
+        !csr(d.startSuccBegin, d.startSuccWordIdx.size(),
+             "dense startSuccBegin") ||
+        !below(d.succWordIdx, d.words, "dense succWordIdx") ||
+        !below(d.startWordIdx, d.words, "dense startWordIdx") ||
+        !below(d.startSuccWordIdx, d.words, "dense startSuccWordIdx")) {
         return nullptr;
-    }
-
-    // v3 input-skip scan mask. Tolerated when absent (pre-v3 blob shape;
-    // the dense view recomputes it), but malformed-when-present is a
-    // structural error like any other section.
-    if (blob.findSection(base + kFaDenseScanMask) != nullptr) {
-        if (!grab(blob, base + kFaDenseScanMask, &d.scanMask, error,
-                  "dense scanMask") ||
-            !sizeIs(d.scanMask.size(), 4, error, "dense scanMask")) {
-            return nullptr;
-        }
     }
 
     p.backing = blob.backing();
     auto fa = std::make_unique<FlatAutomaton>(p);
 
-    // Optional hot-DFA attachment: absent for automata that were never
-    // determinized (or whose construction bailed out).
-    if (blob.findSection(base + kFaDfaMeta) != nullptr) {
-        const DfaMeta *dmeta = nullptr;
-        if (!grabMeta(blob, base + kFaDfaMeta, &dmeta, error, "DfaMeta"))
-            return nullptr;
-        HotDfa::Parts dp;
-        dp.states = dmeta->states;
-        dp.classes = dmeta->classes;
-        if (dp.states == 0 || dp.classes != d.classes) {
-            *error = "DfaMeta disagrees with the dense geometry";
-            return nullptr;
-        }
-        if (!grab(blob, base + kFaDfaTable, &dp.table, error,
-                  "dfa table") ||
-            !grab(blob, base + kFaDfaReportBegin, &dp.reportBegin, error,
-                  "dfa reportBegin") ||
-            !grab(blob, base + kFaDfaReportIds, &dp.reportIds, error,
-                  "dfa reportIds")) {
-            return nullptr;
-        }
-        if (!sizeIs(dp.table.size(), dp.states * dp.classes, error,
-                    "dfa table") ||
-            !sizeIs(dp.reportBegin.size(), dp.states + 1, error,
-                    "dfa reportBegin") ||
-            !sizeIs(dp.reportIds.size(), dmeta->reportCount, error,
-                    "dfa reportIds")) {
-            return nullptr;
-        }
-        if (dp.reportBegin.back() != dp.reportIds.size()) {
-            *error = "dfa CSR end offset disagrees with reportIds";
-            return nullptr;
-        }
-        for (uint32_t t : dp.table) {
-            if (t >= dp.states) {
-                *error = "dfa transition target out of range";
-                return nullptr;
-            }
-        }
-        // v3 skip tables: absent on pre-v3 blob shapes (fromParts then
-        // rebuilds them from the transition table), validated when
-        // present.
-        if (blob.findSection(base + kFaDfaSkipIndex) != nullptr) {
-            if (!grab(blob, base + kFaDfaSkipIndex, &dp.skipIndex, error,
-                      "dfa skipIndex") ||
-                !grab(blob, base + kFaDfaSkipBits, &dp.skipBits, error,
-                      "dfa skipBits") ||
-                !sizeIs(dp.skipIndex.size(), dp.states, error,
-                        "dfa skipIndex")) {
-                return nullptr;
-            }
-            if (dp.skipBits.size() % 4 != 0) {
-                *error = "dfa skipBits is not a whole number of masks";
-                return nullptr;
-            }
-            const uint32_t masks =
-                static_cast<uint32_t>(dp.skipBits.size() / 4);
-            for (uint32_t idx : dp.skipIndex) {
-                if (idx > masks) {
-                    *error = "dfa skip mask index out of range";
-                    return nullptr;
-                }
-            }
-        }
-        dp.backing = blob.backing();
-        fa->attachHotDfa(HotDfa::fromParts(dp, *fa));
-
-        static telemetry::Counter dfa_warm("store.dfa_warm");
-        dfa_warm.add(1);
+    // Optional hot-DFA block: absent for automata that were never
+    // determinized (or whose construction bailed out); all-or-nothing
+    // when present.
+    if (blob.findSection(base + kFaDfaMeta) == nullptr)
+        return fa;
+    const DfaMeta *dmeta = nullptr;
+    if (!grabMeta(blob, base + kFaDfaMeta, &dmeta, error, "DfaMeta"))
+        return nullptr;
+    HotDfa::Parts dp;
+    dp.states = dmeta->states;
+    dp.classes = dmeta->classes;
+    if (dp.states == 0 || dp.classes != classes) {
+        *error = "DfaMeta disagrees with the automaton's classes";
+        return nullptr;
     }
+    if (!need(kFaDfaTable, &dp.table, "dfa table") ||
+        !need(kFaDfaReportBegin, &dp.reportBegin, "dfa reportBegin") ||
+        !need(kFaDfaReportIds, &dp.reportIds, "dfa reportIds") ||
+        !need(kFaDfaSkipIndex, &dp.skipIndex, "dfa skipIndex") ||
+        !need(kFaDfaSkipBits, &dp.skipBits, "dfa skipBits")) {
+        return nullptr;
+    }
+    if (!sized(dp.table.size(), dp.states * dp.classes, "dfa table") ||
+        !sized(dp.reportBegin.size(), dp.states + 1, "dfa reportBegin") ||
+        !sized(dp.reportIds.size(), dmeta->reportCount, "dfa reportIds") ||
+        !sized(dp.skipIndex.size(), dp.states, "dfa skipIndex")) {
+        return nullptr;
+    }
+    if (dp.skipBits.size() % 4 != 0) {
+        *error = "dfa skipBits is not a whole number of masks";
+        return nullptr;
+    }
+    // skipIndex holds 0 (not skippable) or 1 + a mask number.
+    if (!csr(dp.reportBegin, dp.reportIds.size(), "dfa reportBegin") ||
+        !below(dp.table, dp.states, "dfa table") ||
+        !below(dp.reportIds, n, "dfa reportIds") ||
+        !below(dp.skipIndex, dp.skipBits.size() / 4 + 1, "dfa skipIndex")) {
+        return nullptr;
+    }
+    dp.backing = blob.backing();
+    fa->attachHotDfa(HotDfa::fromParts(dp, *fa));
+
+    static telemetry::Counter dfa_warm("store.dfa_warm");
+    dfa_warm.add(1);
     return fa;
 }
 

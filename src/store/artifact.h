@@ -5,9 +5,10 @@
  *
  *  - FlatAutomaton — every array of the flattened automaton plus its
  *    fully-materialized dense view (accept table, start dispatch,
- *    latchable masks, word-level CSRs). Decoding is zero-copy: the
- *    returned automaton's spans alias the blob's mapping, which stays
- *    alive through the shared backing handle.
+ *    latchable masks, word-level CSRs), each stored once, and the hot
+ *    DFA with its skip tables when one was built. Decoding is
+ *    zero-copy: the returned automaton's spans alias the blob's
+ *    mapping, which stays alive through the shared backing handle.
  *  - HotColdProfile — one bit-packed hot set per blob, keyed by the
  *    profiling prefix length.
  *  - Application — binary NFA bag (states, symbol sets, edge CSR);
@@ -19,9 +20,11 @@
  *
  * Section ids are base-relative so one blob can embed several automata
  * or applications (the partition artifact embeds three). Decoders return
- * false/nullptr with an error string on any structural inconsistency —
- * blob checksums already reject corruption, so these checks only guard
- * against artifacts written by a different (buggy or future) encoder.
+ * false/nullptr with an error string on any structural inconsistency.
+ * Blob checksums reject corruption, but not a blob written with valid
+ * checksums by a different (buggy, future or hostile) encoder, so the
+ * FlatAutomaton decoder also range-checks every index it adopts: class
+ * ids, state ids, dense word indices and CSR offsets.
  */
 
 #ifndef SPARSEAP_STORE_ARTIFACT_H
@@ -54,8 +57,9 @@ enum FaSection : uint32_t {
     kFaAllInputStarts,
     kFaClassOf,
     kFaClassRep,
-    kFaDenseMeta,
-    kFaDenseClassOf,
+    // The dense view's persisted arrays (FlatAutomaton::DenseArrays).
+    // Its class map is kFaClassOf; its quiescent scan mask is derived
+    // at load.
     kFaDenseAccept,
     kFaDenseReporting,
     kFaDenseAllInputStarts,
@@ -70,19 +74,15 @@ enum FaSection : uint32_t {
     kFaDenseStartSuccBegin,
     kFaDenseStartSuccWordIdx,
     kFaDenseStartSuccWordMask,
-    // Optional hot-DFA attachment (sim/hot_dfa.h): present only when
-    // the automaton had been determinized at encode time. Warm loads
-    // attach it so they skip subset construction entirely.
+    // Optional hot-DFA block (sim/hot_dfa.h): present only when the
+    // automaton had been determinized at encode time. Warm loads attach
+    // it so they skip subset construction entirely. When kFaDfaMeta is
+    // present, every other section of the block is required, the
+    // per-state input-skip index and masks included.
     kFaDfaMeta,
     kFaDfaTable,
     kFaDfaReportBegin,
     kFaDfaReportIds,
-    // v3 input-skip scan tables: the automaton's 256-bit quiescent
-    // scan mask (always present) and the DFA's per-state skip
-    // index/mask sections (present with the DFA block). Decoders
-    // tolerate their absence — the loaders recompute then — but within
-    // one format version they are always written.
-    kFaDenseScanMask,
     kFaDfaSkipIndex,
     kFaDfaSkipBits,
     kFaSectionCount, ///< ids per embedded automaton
@@ -133,10 +133,8 @@ struct FaMeta
     uint64_t states;
     uint64_t succCount;
     uint32_t classCount;
-    uint8_t compression; ///< FlatAutomaton::DenseCompression
-    uint8_t pad[3];
+    uint8_t pad[4];
     uint64_t denseWords;
-    uint64_t denseClasses;
 };
 
 /** kFaDfaMeta payload. */

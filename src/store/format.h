@@ -50,8 +50,13 @@ constexpr char kMagic[8] = {'S', 'P', 'A', 'P', 'S', 'T', 'O', '1'};
 /** Bumped on any layout change; part of every cache key.
  *  v2: cache-line-aligned accept-row stride + hot-DFA sections.
  *  v3: input-skip scan tables (dense quiescent scan mask + per-state
- *      DFA skip index/bits sections). */
-constexpr uint32_t kFormatVersion = 3;
+ *      DFA skip index/bits sections).
+ *  v4: one copy of each fact: the dense view's class map and quiescent
+ *      scan mask are no longer stored (the view reads the automaton's
+ *      class map and derives the mask at load), FaMeta drops its layout
+ *      and dense class-count fields, and the DFA skip sections are
+ *      required whenever a DFA block is present. */
+constexpr uint32_t kFormatVersion = 4;
 
 /** Section payload alignment (one cache line; see file comment). */
 constexpr uint64_t kSectionAlign = 64;

@@ -38,7 +38,7 @@ std::vector<Isa>
 supportedIsas()
 {
     std::vector<Isa> isas;
-    for (Isa isa : {Isa::Scalar, Isa::Sse2, Isa::Avx2, Isa::Avx512})
+    for (Isa isa : {Isa::Scalar, Isa::Avx2, Isa::Avx512})
         if (simd::isaSupported(isa))
             isas.push_back(isa);
     return isas;
@@ -277,9 +277,10 @@ TEST(InputSkip, RandomizedDenseDifferential)
 }
 
 /**
- * Store round trip: the v3 scan-table sections reattach on decode — the
- * decoded DFA carries the same skippable-state set without rebuilding,
- * and the decoded automaton skips to the same report stream.
+ * Store round trip: the DFA skip sections reattach on decode, so the
+ * decoded DFA carries the same skippable-state set without rebuilding;
+ * the dense scan mask derived at load equals the flattened one; and the
+ * decoded automaton skips to the same report stream.
  */
 TEST(InputSkip, StoreRoundTripPreservesSkipTables)
 {
@@ -299,7 +300,6 @@ TEST(InputSkip, StoreRoundTripPreservesSkipTables)
     std::string error;
     auto blob = store::BlobView::fromBuffer(bw.finalize(), &error);
     ASSERT_NE(blob, nullptr) << error;
-    ASSERT_NE(blob->findSection(store::kFaDenseScanMask), nullptr);
     ASSERT_NE(blob->findSection(store::kFaDfaSkipIndex), nullptr);
 
     std::unique_ptr<FlatAutomaton> decoded =

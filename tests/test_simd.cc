@@ -35,7 +35,7 @@ std::vector<Isa>
 supportedIsas()
 {
     std::vector<Isa> isas;
-    for (Isa isa : {Isa::Scalar, Isa::Sse2, Isa::Avx2, Isa::Avx512})
+    for (Isa isa : {Isa::Scalar, Isa::Avx2, Isa::Avx512})
         if (simd::isaSupported(isa))
             isas.push_back(isa);
     return isas;

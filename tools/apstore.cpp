@@ -30,6 +30,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -176,7 +177,7 @@ resolveObject(const std::string &arg)
 const char *
 faSectionName(uint32_t rel)
 {
-    static const char *const names[store::kFaSectionCount] = {
+    static const char *const names[] = {
         "meta",
         "symbols",
         "reporting",
@@ -189,8 +190,6 @@ faSectionName(uint32_t rel)
         "allInputStarts",
         "classOf",
         "classRep",
-        "dense.meta",
-        "dense.classOf",
         "dense.accept",
         "dense.reporting",
         "dense.allInputStarts",
@@ -209,10 +208,11 @@ faSectionName(uint32_t rel)
         "dfa.table",
         "dfa.reportBegin",
         "dfa.reportIds",
-        "dense.scanMask",
         "dfa.skipIndex",
         "dfa.skipBits",
     };
+    static_assert(std::size(names) == store::kFaSectionCount,
+                  "one name per FaSection id");
     return rel < store::kFaSectionCount ? names[rel] : "?";
 }
 
@@ -220,11 +220,13 @@ faSectionName(uint32_t rel)
 const char *
 appSectionName(uint32_t rel)
 {
-    static const char *const names[store::kAppSectionCount] = {
+    static const char *const names[] = {
         "meta",          "name",      "abbr",    "nfaNameBegin",
         "nfaNames",      "nfaStateBegin", "symbols", "start",
         "reporting",     "succBegin", "succ",
     };
+    static_assert(std::size(names) == store::kAppSectionCount,
+                  "one name per AppSection id");
     return rel < store::kAppSectionCount ? names[rel] : "?";
 }
 
@@ -285,37 +287,15 @@ printDfaSummary(const BlobView &blob, uint32_t base, const char *label)
         blob.findSection(base + store::kFaDfaTable);
     if (meta.size() != 1 || table == nullptr)
         return;
+    const auto skip_bits =
+        blob.sectionAs<uint64_t>(base + store::kFaDfaSkipBits);
     std::printf("  %s  %llu states x %llu classes, %llu table bytes, "
-                "%llu report entries\n",
+                "%llu report entries, %zu skippable state(s)\n",
                 label, static_cast<unsigned long long>(meta[0].states),
                 static_cast<unsigned long long>(meta[0].classes),
                 static_cast<unsigned long long>(table->size),
-                static_cast<unsigned long long>(meta[0].reportCount));
-}
-
-/** Print a one-line summary of the v3 scan tables at @p base, if any. */
-void
-printScanSummary(const BlobView &blob, uint32_t base, const char *label)
-{
-    const store::SectionEntry *mask =
-        blob.findSection(base + store::kFaDenseScanMask);
-    if (mask == nullptr)
-        return;
-    const auto bits =
-        blob.sectionAs<uint64_t>(base + store::kFaDenseScanMask);
-    unsigned population = 0;
-    for (uint64_t w : bits)
-        population += static_cast<unsigned>(__builtin_popcountll(w));
-    const auto skip_index =
-        blob.sectionAs<uint32_t>(base + store::kFaDfaSkipIndex);
-    const auto skip_bits =
-        blob.sectionAs<uint64_t>(base + store::kFaDfaSkipBits);
-    std::printf("  %s  quiescent mask %u/256 bytes interesting, "
-                "%zu skippable dfa state(s) (%zu index + %zu mask "
-                "bytes)\n",
-                label, population, skip_bits.size() / 4,
-                skip_index.size() * sizeof(uint32_t),
-                skip_bits.size() * sizeof(uint64_t));
+                static_cast<unsigned long long>(meta[0].reportCount),
+                skip_bits.size() / 4);
 }
 
 int
@@ -334,8 +314,6 @@ cmdInspect(const std::string &arg)
                 blob->fileSize());
     printDfaSummary(*blob, 0, "dfa   ");
     printDfaSummary(*blob, store::kPartHotFaBase, "hot dfa");
-    printScanSummary(*blob, 0, "scan  ");
-    printScanSummary(*blob, store::kPartHotFaBase, "hot scan");
     Table table({"Id", "Name", "ElemSize", "Offset", "Bytes", "Checksum"});
     for (const store::SectionEntry &e : blob->sections()) {
         table.addRow({std::to_string(e.id),
