@@ -5,13 +5,12 @@
  * admission queue, MatchService session table — against the same
  * automata, measured at B ∈ {1, 8, 32} concurrent client streams.
  *
- * The server runs in-process on a temp socket; every stream is its own
+ * The server runs in-process on a temp socket with the daemon's one
+ * instrumented path (rolling-window sampler, per-tenant attribution,
+ * request tracing; docs/OBSERVABILITY.md); every stream is its own
  * connection (matching real clients) feeding 16 KiB chunks. Each
- * configuration runs twice — serving-plane observability off and on
- * (rolling-window sampler, per-tenant attribution, request tracing;
- * docs/OBSERVABILITY.md) — so the cost of the always-on telemetry is a
- * printed column pair, not a guess. Latency percentiles come from the
- * observability-on run, the shape operators actually deploy.
+ * configuration runs once; bench/apbench is the repeated,
+ * noise-reporting benchmark of this path.
  *
  * Correctness gate: per stream and per run, the sorted digest of every
  * report the socket returned (feeds + close) must equal the digest of
@@ -108,23 +107,20 @@ struct RunResult
     bool match = false;
 };
 
-/** One full server lifecycle at @p b streams, obs on or off. */
+/** One full server lifecycle at @p b streams. */
 RunResult
 runOnce(const std::shared_ptr<FlatAutomaton> &fa,
         const std::string &label, const std::string &socket_path,
         const std::vector<std::vector<uint8_t>> &inputs,
-        const std::vector<uint64_t> &want, size_t b, bool obs)
+        const std::vector<uint64_t> &want, size_t b)
 {
-    serve::MatchServiceConfig mcfg;
-    mcfg.tenantMetrics = obs;
-    serve::MatchService service(mcfg);
+    serve::MatchService service;
     service.addTenant(label, fa);
     serve::ServerConfig scfg;
     scfg.socketPath = socket_path;
     scfg.workers = 4;
-    scfg.observability.enabled = obs;
     // Sample fast enough that the observer thread actually runs inside
-    // the measurement window — the cost being measured includes it.
+    // the measurement window — the time measured includes it.
     scfg.observability.samplePeriodMillis = 200;
     serve::Server server(&service, scfg);
     std::string error;
@@ -169,8 +165,8 @@ main()
 {
     printSection("Serving-path throughput (socket end to end)");
     static ExperimentRunner runner;
-    Table table({"App", "Streams", "KiB/stream", "MB/s off", "MB/s on",
-                 "Obs %", "p50 us", "p95 us", "p99 us", "Match"});
+    Table table({"App", "Streams", "KiB/stream", "MB/s", "p50 us",
+                 "p95 us", "p99 us", "Match"});
 
     const std::string socket_path =
         "/tmp/sparseap-serve-bench." + std::to_string(::getpid()) +
@@ -200,25 +196,16 @@ main()
         }
 
         for (size_t b : kStreamCounts) {
-            const RunResult off = runOnce(fa, label, socket_path,
-                                          inputs, want, b, false);
-            const RunResult on = runOnce(fa, label, socket_path,
-                                         inputs, want, b, true);
-            const bool match = off.match && on.match;
-            all_ok = all_ok && match;
-            const double obs_pct =
-                off.mbps > 0.0
-                    ? 100.0 * (off.mbps - on.mbps) / off.mbps
-                    : 0.0;
+            const RunResult r =
+                runOnce(fa, label, socket_path, inputs, want, b);
+            all_ok = all_ok && r.match;
             table.addRow({label, std::to_string(b),
                           std::to_string(inputs[0].size() / 1024),
-                          Table::fmt(off.mbps, 1),
-                          Table::fmt(on.mbps, 1),
-                          Table::fmt(obs_pct, 1),
-                          Table::fmt(on.latency.p50(), 0),
-                          Table::fmt(on.latency.p95(), 0),
-                          Table::fmt(on.latency.p99(), 0),
-                          match ? "ok" : "MISMATCH"});
+                          Table::fmt(r.mbps, 1),
+                          Table::fmt(r.latency.p50(), 0),
+                          Table::fmt(r.latency.p95(), 0),
+                          Table::fmt(r.latency.p99(), 0),
+                          r.match ? "ok" : "MISMATCH"});
         }
     }
 

@@ -7,7 +7,7 @@
 #include "common/logging.h"
 #include "telemetry/labels.h"
 #include "telemetry/metrics.h"
-#include "telemetry/request_trace.h"
+#include "telemetry/trace.h"
 
 namespace sparseap {
 namespace serve {
@@ -312,12 +312,10 @@ MatchService::publishGaugesLocked()
     size_t open = 0;
     for (const auto &[name, t] : tenants_) {
         open += t->streams.size();
-        if (config_.tenantMetrics) {
-            uint64_t parked = 0;
-            for (const auto &[id, s] : t->streams)
-                parked += s->snapshotBytes;
-            parkedBytesByTenant().set(name, parked);
-        }
+        uint64_t parked = 0;
+        for (const auto &[id, s] : t->streams)
+            parked += s->snapshotBytes;
+        parkedBytesByTenant().set(name, parked);
     }
     activeStreamsGauge().set(static_cast<int64_t>(open));
     residentGauge().set(static_cast<int64_t>(resident_count_));
@@ -528,16 +526,14 @@ MatchService::feedMany(const std::string &tenant_name,
         sessions[i] = held[k]->session.get();
     }
     std::vector<SessionStats> before;
-    if (config_.tenantMetrics) {
-        before.reserve(held.size());
-        for (const std::shared_ptr<Stream> &s : held)
-            before.push_back(s->session->stats());
-    }
+    before.reserve(held.size());
+    for (const std::shared_ptr<Stream> &s : held)
+        before.push_back(s->session->stats());
 
     // With distinct ids, the DFA-phase streams advance together through
     // one interleaved table walk (EngineSession::feedFused). Everything
     // else — all entries when an id repeats — feeds in entry order.
-    telemetry::RequestSpanScope feed_span("service.feed_many");
+    SPARSEAP_SPAN("service.feed_many");
     std::vector<EngineSession *> fused_sessions;
     std::vector<std::span<const uint8_t>> fused_chunks;
     std::vector<bool> fused(entries.size(), false);
@@ -568,15 +564,13 @@ MatchService::feedMany(const std::string &tenant_name,
         bytes += entries[i].chunk.size();
     }
 
-    if (config_.tenantMetrics) {
-        TenantFold fold;
-        fold.feeds = entries.size();
-        fold.bytes = bytes;
-        for (size_t k = 0; k < held.size(); ++k)
-            fold.addDelta(before[k], held[k]->session->stats(),
-                          *held[k]->session);
-        fold.publish(tenant_name);
-    }
+    TenantFold fold;
+    fold.feeds = entries.size();
+    fold.bytes = bytes;
+    for (size_t k = 0; k < held.size(); ++k)
+        fold.addDelta(before[k], held[k]->session->stats(),
+                      *held[k]->session);
+    fold.publish(tenant_name);
 
     {
         std::lock_guard<std::mutex> lock(mutex_);
@@ -644,20 +638,18 @@ MatchService::matchOneShot(const std::string &tenant_name,
 
     session->restart();
     {
-        telemetry::RequestSpanScope feed_span("session.match");
+        SPARSEAP_SPAN("session.match");
         session->feed(input);
     }
     out->streamId = 0;
     out->streamOffset = session->offset();
     out->reports = session->takeReports();
-    if (config_.tenantMetrics) {
-        TenantFold fold;
-        fold.feeds = 1;
-        fold.bytes = input.size();
-        // restart() zeroed the stats, so the run *is* the delta.
-        fold.addDelta(SessionStats{}, session->stats(), *session);
-        fold.publish(tenant_name);
-    }
+    TenantFold fold;
+    fold.feeds = 1;
+    fold.bytes = input.size();
+    // restart() zeroed the stats, so the run *is* the delta.
+    fold.addDelta(SessionStats{}, session->stats(), *session);
+    fold.publish(tenant_name);
 
     {
         std::lock_guard<std::mutex> lock(mutex_);

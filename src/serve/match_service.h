@@ -78,12 +78,6 @@ struct MatchServiceConfig
     /** Reusable idle sessions kept per tenant (allocation recycling). */
     size_t sessionPoolSize = 8;
     /**
-     * Fold per-tenant serve.* attribution (feeds, bytes, engine-phase
-     * cycles, input-skip) into bounded labeled series at feed checkin.
-     * Off = the service touches only the unlabeled counters.
-     */
-    bool tenantMetrics = true;
-    /**
      * Test hook: stall every feedMany() by this long before
      * executing, so slow-request capture is testable without a giant
      * input. 0 in any real configuration.

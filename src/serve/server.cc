@@ -219,8 +219,7 @@ Server::start(std::string *error)
     workers_.reserve(n);
     for (unsigned i = 0; i < n; ++i)
         workers_.emplace_back([this, i] { workerLoop(i); });
-    if (config_.observability.enabled &&
-        config_.observability.samplePeriodMillis > 0) {
+    if (config_.observability.samplePeriodMillis > 0) {
         observer_stop_ = false;
         observer_ = std::thread([this] { observerLoop(); });
     }
@@ -474,8 +473,7 @@ Server::pumpConn(const std::shared_ptr<Conn> &conn)
         const uint64_t request_id = frame.requestId;
         work->frame = std::move(frame);
 
-        const bool obs = config_.observability.enabled;
-        if (obs && !work->tenant.empty())
+        if (!work->tenant.empty())
             requestsByTenant().add(work->tenant, 1);
 
         const AdmitResult admit =
@@ -483,7 +481,7 @@ Server::pumpConn(const std::shared_ptr<Conn> &conn)
         if (admit == AdmitResult::Admitted)
             return; // the executing worker un-sets inflight + re-pumps
 
-        if (obs && !work->tenant.empty())
+        if (!work->tenant.empty())
             shedsByTenant().add(work->tenant, 1);
         telemetry::LogEvent(telemetry::LogLevel::Debug, "serve.reject")
             .num("request_id", work->serial)
@@ -505,7 +503,6 @@ Server::pumpConn(const std::shared_ptr<Conn> &conn)
 void
 Server::workerLoop(size_t worker_index)
 {
-    const bool obs = config_.observability.enabled;
     AdmissionQueue::Item item;
     std::vector<AdmissionQueue::Item> shed;
     while (queue_.pop(&item, &shed)) {
@@ -513,7 +510,7 @@ Server::workerLoop(size_t worker_index)
         last_pop_micros_.store(pop_us, std::memory_order_relaxed);
         for (AdmissionQueue::Item &s : shed) {
             auto work = std::static_pointer_cast<Work>(s.work);
-            if (obs && !work->tenant.empty())
+            if (!work->tenant.empty())
                 shedsByTenant().add(work->tenant, 1);
             telemetry::LogEvent(telemetry::LogLevel::Debug,
                                 "serve.shed")
@@ -546,33 +543,21 @@ void
 Server::execute(const std::shared_ptr<Work> &work)
 {
     const std::shared_ptr<Conn> &conn = work->conn;
-    uint64_t micros;
-    if (config_.observability.enabled) {
-        const uint64_t pop_us = nowMicros();
-        telemetry::RequestTrace trace(
-            work->serial, work->tenant,
-            msgTypeName(work->frame.type));
-        trace.addSpan("serve.admission", work->startMicros,
-                      pop_us - work->startMicros);
-        {
-            telemetry::RequestSpanScope scope("serve.execute");
-            executeRequest(work);
-        }
-        queue_.finish(work->tenant);
-        micros = trace.finish(work->startMicros,
-                              config_.observability.slowRequestMicros);
-        if (!work->tenant.empty())
-            requestMicrosByTenant().add(work->tenant, micros);
-    } else {
-        executeRequest(work);
-        queue_.finish(work->tenant);
-        micros = nowMicros() - work->startMicros;
-    }
-    latencyMetric().add(micros);
+    const uint64_t pop_us = nowMicros();
+    telemetry::RequestTrace trace(work->serial, work->tenant,
+                                  msgTypeName(work->frame.type));
+    trace.addSpan("serve.admission", work->startMicros,
+                  pop_us - work->startMicros);
     {
-        std::lock_guard<std::mutex> lock(stats_mutex_);
-        stats_.latencyMicros.add(micros);
+        SPARSEAP_SPAN("serve.execute");
+        executeRequest(work);
     }
+    queue_.finish(work->tenant);
+    const uint64_t micros = trace.finish(
+        work->startMicros, config_.observability.slowRequestMicros);
+    if (!work->tenant.empty())
+        requestMicrosByTenant().add(work->tenant, micros);
+    latencyMetric().add(micros);
     {
         std::lock_guard<std::mutex> lock(conn->mu);
         conn->inflight = false;
@@ -804,13 +789,6 @@ Server::sendStats(const std::shared_ptr<Conn> &conn, uint64_t request_id)
     sendAll(conn, out);
 }
 
-ServerStats
-Server::stats() const
-{
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    return stats_;
-}
-
 StatsReply
 Server::statsReply() const
 {
@@ -843,25 +821,24 @@ Server::statsReply() const
         reply.counters.emplace_back("serve.frames", stats_.frames);
         reply.counters.emplace_back("serve.bad_frames",
                                     stats_.badFrames);
-        reply.counters.emplace_back(
-            "serve.latency_count",
-            static_cast<uint64_t>(stats_.latencyMicros.count()));
-        reply.counters.emplace_back(
-            "serve.latency_p50_us",
-            static_cast<uint64_t>(stats_.latencyMicros.p50()));
-        reply.counters.emplace_back(
-            "serve.latency_p95_us",
-            static_cast<uint64_t>(stats_.latencyMicros.p95()));
-        reply.counters.emplace_back(
-            "serve.latency_p99_us",
-            static_cast<uint64_t>(stats_.latencyMicros.p99()));
     }
-    if (!config_.observability.enabled)
-        return reply;
+
+    // Request latency: the process-wide serve.request_micros histogram.
+    const telemetry::Snapshot snap = telemetry::snapshot();
+    const auto latency = snap.histograms.find("serve.request_micros");
+    const telemetry::Snapshot::Hist lat =
+        latency != snap.histograms.end() ? latency->second
+                                         : telemetry::Snapshot::Hist{};
+    reply.counters.emplace_back("serve.latency_count", lat.count);
+    reply.counters.emplace_back(
+        "serve.latency_p50_us", static_cast<uint64_t>(lat.quantile(0.50)));
+    reply.counters.emplace_back(
+        "serve.latency_p95_us", static_cast<uint64_t>(lat.quantile(0.95)));
+    reply.counters.emplace_back(
+        "serve.latency_p99_us", static_cast<uint64_t>(lat.quantile(0.99)));
 
     // Per-tenant totals: every labeled serve.* series in the registry,
     // plus the watchdog family and the slow-capture count.
-    const telemetry::Snapshot snap = telemetry::snapshot();
     for (const auto &[name, value] : snap.counters) {
         const bool labeled =
             telemetry::splitLabeledName(name, nullptr, nullptr);

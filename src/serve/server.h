@@ -45,7 +45,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "common/stats.h"
 #include "serve/admission.h"
 #include "serve/match_service.h"
 #include "serve/protocol.h"
@@ -57,9 +56,6 @@ namespace serve {
 /** Serving-plane observability knobs (see docs/OBSERVABILITY.md). */
 struct ObservabilityConfig
 {
-    /** Master switch: request tracing, per-tenant labels, rolling
-     *  windows, watchdog. Off = the pre-observability hot path. */
-    bool enabled = true;
     /** Observer thread sample period (windows + watchdog + metrics
      *  file). 0 disables the observer thread. */
     uint64_t samplePeriodMillis = 1000;
@@ -87,15 +83,14 @@ struct ServerConfig
     ObservabilityConfig observability;
 };
 
-/** Latency + traffic counters (admission stats live on the queue). */
+/** Traffic counters (admission stats live on the queue; request
+ *  latency is the process-wide serve.request_micros histogram). */
 struct ServerStats
 {
     uint64_t accepted = 0;
     uint64_t disconnected = 0;
     uint64_t frames = 0;    ///< well-formed request frames
     uint64_t badFrames = 0; ///< Error-answered frames + corrupt streams
-    /** Request latency (admission + execution), microseconds. */
-    Histogram latencyMicros;
 };
 
 /** The daemon core (see file comment). */
@@ -119,12 +114,10 @@ class Server
 
     bool running() const { return running_.load(); }
 
-    ServerStats stats() const;
-
     const AdmissionQueue &admission() const { return queue_; }
 
-    /** Rows for the in-protocol Stats reply (serve.* keys), plus —
-     *  with observability on — windowed rows and per-tenant series. */
+    /** Rows for the in-protocol Stats reply: the serve.* totals,
+     *  per-tenant series and windowed rows. */
     StatsReply statsReply() const;
 
     /** Take one observer sample now (window push + watchdog tick +
@@ -181,7 +174,7 @@ class Server
     mutable std::mutex stats_mutex_;
     ServerStats stats_;
 
-    // --- observability (all inert when !config_.observability.enabled)
+    // --- observability
 
     /** Server-side request serial, minted at admission. */
     std::atomic<uint64_t> next_request_serial_{0};

@@ -84,6 +84,24 @@ allBelow(std::span<const T> ids, uint64_t bound, std::string *error,
     return false;
 }
 
+/** Fail if mask k, which covers word @p idx[k] of a state-set row,
+ *  sets one of the @p tail bits of word @p last: the bits of states
+ *  past the automaton's last state. */
+bool
+tailClear(std::span<const uint32_t> idx, std::span<const uint64_t> masks,
+          uint64_t last, uint64_t tail, std::string *error,
+          const char *what)
+{
+    uint64_t stray = 0;
+    for (size_t k = 0; k < masks.size(); ++k)
+        stray |= idx[k] == last ? masks[k] & tail : 0;
+    if (stray == 0)
+        return true;
+    *error = std::string("state out of range: ") + what +
+             " sets a bit past the last state";
+    return false;
+}
+
 /** Fail unless @p begin is nondecreasing and ends at @p size. */
 bool
 csrOk(std::span<const uint32_t> begin, size_t size, std::string *error,
@@ -281,6 +299,26 @@ decodeFlatAutomaton(const BlobView &blob, uint32_t base, std::string *error)
         !below(d.succWordIdx, d.words, "dense succWordIdx") ||
         !below(d.startWordIdx, d.words, "dense startWordIdx") ||
         !below(d.startSuccWordIdx, d.words, "dense startSuccWordIdx")) {
+        return nullptr;
+    }
+    // A bit for a state >= n in word n / 64 (the last, partial word;
+    // none when 64 divides n) would send DenseCore's successor walk past
+    // the end of succBegin. A whole row's mask of that word is the
+    // row's subspan from it.
+    const uint32_t last[] = {static_cast<uint32_t>(n / 64)};
+    const uint64_t tail = n % 64 == 0 ? 0 : ~uint64_t{0} << (n % 64);
+    const auto clear = [&](std::span<const uint32_t> idx,
+                           std::span<const uint64_t> masks,
+                           const char *what) {
+        return tailClear(idx, masks, last[0], tail, error, what);
+    };
+    if (!clear(last, d.sodStarts.subspan(last[0]), "dense sodStarts") ||
+        !clear(last, d.allInputStarts.subspan(last[0]),
+               "dense allInputStarts") ||
+        !clear(d.succWordIdx, d.succWordMask, "dense succWordMask") ||
+        !clear(d.startWordIdx, d.startWordMask, "dense startWordMask") ||
+        !clear(d.startSuccWordIdx, d.startSuccWordMask,
+               "dense startSuccWordMask")) {
         return nullptr;
     }
 

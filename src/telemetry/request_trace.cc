@@ -24,8 +24,11 @@ appendEscaped(std::ostream &os, const std::string &v)
     }
 }
 
+/** Chrome args of one request span: the request id, the tenant (root
+ *  only) and the span's own members. */
 std::string
-spanArgs(uint64_t request_id, const std::string &tenant)
+spanArgs(uint64_t request_id, const std::string &tenant,
+         const std::string &own)
 {
     std::string args = "\"req\":" + std::to_string(request_id);
     if (!tenant.empty()) {
@@ -37,6 +40,8 @@ spanArgs(uint64_t request_id, const std::string &tenant)
         }
         args += '"';
     }
+    if (!own.empty())
+        args += ',' + own;
     return args;
 }
 
@@ -144,7 +149,7 @@ RequestTrace::current()
 void
 RequestTrace::addSpan(const char *name, uint64_t t0_us, uint64_t dur_us)
 {
-    spans_.push_back({name, t0_us, dur_us, depth_});
+    spans_.push_back({name, t0_us, dur_us, depth_, {}});
 }
 
 uint64_t
@@ -160,15 +165,16 @@ RequestTrace::finish(uint64_t t0_us, uint64_t slow_threshold_micros)
     // Root first, children in recording (completion) order after it.
     std::vector<RequestSpanRecord> tree;
     tree.reserve(spans_.size() + 1);
-    tree.push_back({"serve.request", t0_us, latency, 0});
+    tree.push_back({"serve.request", t0_us, latency, 0, {}});
     tree.insert(tree.end(), spans_.begin(), spans_.end());
 
     if (traceEnabled()) {
         for (const RequestSpanRecord &span : tree) {
-            traceEmitComplete(span.name, span.t0_us, span.dur_us,
-                              span.depth == 0
-                                  ? spanArgs(request_id_, tenant_)
-                                  : spanArgs(request_id_, ""));
+            traceEmitComplete(
+                span.name, span.t0_us, span.dur_us,
+                spanArgs(request_id_,
+                         span.depth == 0 ? tenant_ : std::string(),
+                         span.args));
         }
     }
 
@@ -189,28 +195,6 @@ RequestTrace::finish(uint64_t t0_us, uint64_t slow_threshold_micros)
             .num("spans", span_count);
     }
     return latency;
-}
-
-RequestSpanScope::RequestSpanScope(const char *name)
-{
-    RequestTrace *t = RequestTrace::current();
-    if (t == nullptr || t->finished_)
-        return;
-    trace_ = t;
-    name_ = name;
-    t0_us_ = nowMicros();
-    depth_ = t->depth_;
-    ++t->depth_;
-}
-
-RequestSpanScope::~RequestSpanScope()
-{
-    if (trace_ == nullptr)
-        return;
-    --trace_->depth_;
-    const uint64_t t1 = nowMicros();
-    trace_->spans_.push_back(
-        {name_, t0_us_, t1 > t0_us_ ? t1 - t0_us_ : 0, depth_});
 }
 
 } // namespace telemetry

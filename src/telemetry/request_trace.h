@@ -4,11 +4,14 @@
  * Chrome-trace emission, and an always-on slow-request capture ring.
  *
  * A RequestTrace is installed on the worker thread for the lifetime of
- * one request (thread_local current-trace pointer, so layers below the
- * server — MatchService, EngineSession wrappers — add spans with a
- * plain RequestSpanScope and no signature changes). Every span records
- * (name, t0, dur, depth) into the trace's private vector: no locks, no
- * allocation beyond the vector, nothing global until finish().
+ * one request (thread_local current-trace pointer). While it is
+ * installed, every SPARSEAP_SPAN / SPARSEAP_PHASE opened on that thread
+ * — in the server, in MatchService, in any library code below it —
+ * joins this trace's tree at the current depth instead of writing to
+ * the Chrome session directly (telemetry/trace.h), with no signature
+ * changes. Every span records (name, t0, dur, depth, args) into the
+ * trace's private vector: no locks, no allocation beyond the vector,
+ * nothing global until finish().
  *
  * finish() assembles the tree under a root `serve.request` span and
  *  - streams every span into the active Chrome trace session (when
@@ -19,9 +22,6 @@
  *    that is *always* on — the last N slow requests are retrievable
  *    from a live daemon without any tracing configured) and emits one
  *    `serve.request.slow` event-log line carrying the same request id.
- *
- * With no RequestTrace installed a RequestSpanScope is one thread_local
- * load and a branch — MatchService used as a library costs nothing.
  *
  * See docs/OBSERVABILITY.md §Request tracing; tested by
  * tests/test_observability.cc and tests/test_serve_observability.cc.
@@ -46,6 +46,7 @@ struct RequestSpanRecord
     uint64_t t0_us = 0;
     uint64_t dur_us = 0;
     uint32_t depth = 0; ///< 0 = the serve.request root
+    std::string args;   ///< the span's own JSON members, or empty
 };
 
 /** One slow request's captured tree. */
@@ -122,7 +123,7 @@ class RequestTrace
     uint64_t finish(uint64_t t0_us, uint64_t slow_threshold_micros);
 
   private:
-    friend class RequestSpanScope;
+    friend class ScopedSpan; // records child spans into the tree
 
     const uint64_t request_id_;
     const std::string tenant_;
@@ -131,24 +132,6 @@ class RequestTrace
     std::vector<RequestSpanRecord> spans_;
     RequestTrace *prev_ = nullptr;
     bool finished_ = false;
-};
-
-/** RAII child span on the thread's current RequestTrace (no-op and
- *  near-free when none is installed). */
-class RequestSpanScope
-{
-  public:
-    explicit RequestSpanScope(const char *name);
-    ~RequestSpanScope();
-
-    RequestSpanScope(const RequestSpanScope &) = delete;
-    RequestSpanScope &operator=(const RequestSpanScope &) = delete;
-
-  private:
-    RequestTrace *trace_ = nullptr;
-    const char *name_ = nullptr;
-    uint64_t t0_us_ = 0;
-    uint32_t depth_ = 0;
 };
 
 } // namespace telemetry

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "common/logging.h"
+#include "telemetry/request_trace.h"
 
 namespace sparseap {
 namespace telemetry {
@@ -193,20 +194,31 @@ TraceSession::~TraceSession()
     finish();
 }
 
-void
+bool
 ScopedSpan::begin(const char *name)
 {
+    request_ = RequestTrace::current();
+    if (request_ != nullptr && request_->finished_)
+        request_ = nullptr;
+    if (request_ == nullptr && !traceEnabled())
+        return false;
     name_ = name;
     t0_us_ = nowMicros();
+    if (request_ != nullptr)
+        depth_ = request_->depth_++;
+    return true;
 }
 
 void
 ScopedSpan::end()
 {
-    const uint64_t t1 = nowMicros();
-    if (auto s = currentSession()) {
-        s->append({name_, t0_us_, t1 - t0_us_, threadTid(),
-                   std::move(args_)});
+    const uint64_t dur = nowMicros() - t0_us_;
+    if (request_ != nullptr) {
+        --request_->depth_;
+        request_->spans_.push_back(
+            {name_, t0_us_, dur, depth_, std::move(args_)});
+    } else if (auto s = currentSession()) {
+        s->append({name_, t0_us_, dur, threadTid(), std::move(args_)});
     }
     name_ = nullptr;
 }

@@ -1,12 +1,18 @@
 /**
  * @file
- * Scoped spans with Chrome trace-event export.
+ * Scoped spans: the one span API, with its sink chosen at runtime.
  *
- * A span covers one scope (`SPARSEAP_SPAN("partition.fill")`), records
- * begin/end timestamps plus optional key/value args, and is streamed out
- * as one complete ("ph":"X") Chrome trace event when a trace session is
- * active. Load the resulting file in Perfetto (ui.perfetto.dev) or
- * chrome://tracing.
+ * A span covers one scope (`SPARSEAP_SPAN("partition.fill")`) and
+ * records begin/end timestamps plus optional key/value args. At
+ * construction it picks its sink:
+ *  - a RequestTrace installed on this thread (telemetry/request_trace.h):
+ *    the span joins that request's tree at the current depth, and
+ *    RequestTrace::finish() later streams the tree into the Chrome
+ *    session and, for slow requests, the slow-request ring;
+ *  - otherwise the active Chrome trace session: the span is written as
+ *    one complete ("ph":"X") trace event. Load the resulting file in
+ *    Perfetto (ui.perfetto.dev) or chrome://tracing;
+ *  - with neither, nothing is recorded.
  *
  * Sessions start in one of two ways:
  *  - `SPARSEAP_TRACE=<file>` in the environment: the session begins on
@@ -14,15 +20,15 @@
  *  - an explicit `TraceSession` object (tests, tools): flushes when the
  *    object dies.
  *
- * Cost model: with no active session a span is one relaxed atomic load
- * and a branch — no clock read, no allocation. The per-symbol step
- * loops carry no spans at all, so kernel throughput is unaffected
- * either way; spans sit at batch/phase/app granularity. Defining
- * SPARSEAP_NO_TRACING compiles every span macro away entirely.
+ * Cost model: with no sink a span is one thread_local load, one relaxed
+ * atomic load and two branches — no clock read, no allocation. The
+ * per-symbol step loops carry no spans at all, so kernel throughput is
+ * unaffected either way; spans sit at request/batch/phase/app
+ * granularity.
  *
  * `SPARSEAP_PHASE("flatten")` is a span that additionally records its
  * duration into the `phase.flatten_us` histogram metric even when no
- * trace session is active, so pipeline phase timings always show up in
+ * sink is active, so pipeline phase timings always show up in
  * telemetry snapshots.
  */
 
@@ -58,38 +64,32 @@ class TraceSession
     bool active_ = true;
 };
 
-/** One scope = one complete trace event (see file comment). */
+class RequestTrace;
+
+/** One scope = one span in the sink chosen at construction (see file
+ *  comment). */
 class ScopedSpan
 {
   public:
-    explicit ScopedSpan(const char *name)
-    {
-        if (traceEnabled())
-            begin(name);
-    }
+    explicit ScopedSpan(const char *name) { begin(name); }
 
     ScopedSpan(const char *name, const char *key, uint64_t value)
     {
-        if (traceEnabled()) {
-            begin(name);
+        if (begin(name))
             arg(key, value);
-        }
     }
 
     ScopedSpan(const char *name, const char *key,
                const std::string &value)
     {
-        if (traceEnabled()) {
-            begin(name);
+        if (begin(name))
             arg(key, value);
-        }
     }
 
     ScopedSpan(const char *name, const char *k1, uint64_t v1,
                const char *k2, uint64_t v2)
     {
-        if (traceEnabled()) {
-            begin(name);
+        if (begin(name)) {
             arg(k1, v1);
             arg(k2, v2);
         }
@@ -104,17 +104,20 @@ class ScopedSpan
     ScopedSpan(const ScopedSpan &) = delete;
     ScopedSpan &operator=(const ScopedSpan &) = delete;
 
-    /** Attach one numeric arg (no-op when no session is active). */
+    /** Attach one numeric arg (no-op when not recording). */
     void arg(const char *key, uint64_t value);
 
-    /** Attach one string arg (no-op when no session is active). */
+    /** Attach one string arg (no-op when not recording). */
     void arg(const char *key, const std::string &value);
 
   private:
-    void begin(const char *name);
+    /** Pick the sink and start the clock; @return true iff recording. */
+    bool begin(const char *name);
     void end();
 
-    const char *name_ = nullptr; ///< non-null iff recording
+    const char *name_ = nullptr;      ///< non-null iff recording
+    RequestTrace *request_ = nullptr; ///< the request-tree sink, if any
+    uint32_t depth_ = 0;              ///< depth in request_'s tree
     uint64_t t0_us_ = 0;
     std::string args_; ///< pre-rendered JSON members ("\"k\":v,...")
 };
@@ -151,14 +154,6 @@ void traceEmitComplete(const char *name, uint64_t ts_us,
 #define SPARSEAP_TELEMETRY_CAT2(a, b) a##b
 #define SPARSEAP_TELEMETRY_CAT(a, b) SPARSEAP_TELEMETRY_CAT2(a, b)
 
-#ifdef SPARSEAP_NO_TRACING
-#define SPARSEAP_SPAN(...)                                                   \
-    [[maybe_unused]] const int SPARSEAP_TELEMETRY_CAT(sparseap_span_,        \
-                                                      __LINE__) = 0
-#define SPARSEAP_PHASE(name)                                                 \
-    [[maybe_unused]] const int SPARSEAP_TELEMETRY_CAT(sparseap_phase_,       \
-                                                      __LINE__) = 0
-#else
 /** Open a span covering the rest of the enclosing scope. */
 #define SPARSEAP_SPAN(...)                                                   \
     ::sparseap::telemetry::ScopedSpan SPARSEAP_TELEMETRY_CAT(               \
@@ -172,7 +167,6 @@ void traceEmitComplete(const char *name, uint64_t ts_us,
     ::sparseap::telemetry::ScopedPhase SPARSEAP_TELEMETRY_CAT(              \
         sparseap_phase_, __LINE__)(                                          \
         SPARSEAP_TELEMETRY_CAT(sparseap_phase_hist_, __LINE__), name)
-#endif
 
 } // namespace telemetry
 } // namespace sparseap

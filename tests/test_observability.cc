@@ -3,8 +3,9 @@
  * Unit tests for the observability building blocks: bounded-cardinality
  * labeled families (cap + `other` fold, recency order, LabeledGauge),
  * the structured JSON event log (sink filtering, payload rendering),
- * the slow-request capture ring, request-scoped span trees, and the
- * Prometheus text exposition (label re-emission, atomic file export).
+ * the slow-request capture ring, request-scoped span trees and their
+ * one path into the Chrome trace session, and the Prometheus text
+ * exposition (label re-emission, atomic file export).
  */
 
 #include <gtest/gtest.h>
@@ -192,7 +193,7 @@ TEST(SlowRequestRing, BoundedOldestFirstWithLifetimeTotal)
     for (size_t i = 1; i <= pushed; ++i) {
         CapturedRequest req;
         req.requestId = i;
-        req.spans.push_back({"serve.request", 0, 1, 0});
+        req.spans.push_back({"serve.request", 0, 1, 0, {}});
         ring.capture(std::move(req));
     }
     EXPECT_EQ(ring.totalCaptured(), pushed);
@@ -215,8 +216,8 @@ TEST(SlowRequestRing, WriteJsonMatchesDumpSchema)
     req.tenant = "acme";
     req.op = "Feed";
     req.latencyMicros = 1234;
-    req.spans.push_back({"serve.request", 100, 1234, 0});
-    req.spans.push_back({"session.feed", 150, 1000, 1});
+    req.spans.push_back({"serve.request", 100, 1234, 0, {}});
+    req.spans.push_back({"session.feed", 150, 1000, 1, {}});
     ring.capture(std::move(req));
 
     std::ostringstream os;
@@ -247,8 +248,8 @@ TEST(RequestTrace, ScopesBuildADepthTaggedTreeUnderTheRoot)
         EXPECT_EQ(RequestTrace::current(), &trace);
         trace.addSpan("serve.admission", t0, 5);
         {
-            RequestSpanScope outer("serve.execute");
-            RequestSpanScope inner("session.feed");
+            SPARSEAP_SPAN("serve.execute");
+            SPARSEAP_SPAN("session.feed");
         }
         // Let the root outgrow the 5 us pre-timed admission span so
         // the containment assertions below are meaningful.
@@ -313,7 +314,73 @@ TEST(RequestTrace, FastRequestsAreNotCaptured)
 TEST(RequestTrace, SpanScopeIsANoOpWithoutAnInstalledTrace)
 {
     ASSERT_EQ(RequestTrace::current(), nullptr);
-    RequestSpanScope scope("orphan"); // must not crash or record
+    ASSERT_FALSE(traceEnabled());
+    SPARSEAP_SPAN("orphan"); // no sink: must not crash or record
+}
+
+TEST(RequestTrace, SpansInsideARequestReachTheChromeSessionOnce)
+{
+    const auto phaseCount = [] {
+        const Snapshot s = snapshot();
+        const auto it = s.histograms.find("phase.request_probe_us");
+        return it == s.histograms.end() ? uint64_t{0} : it->second.count;
+    };
+    const uint64_t phases_before = phaseCount();
+    const std::string path = tempPath("reqchrome");
+    {
+        TraceSession session(path);
+        const uint64_t t0 = nowMicros();
+        RequestTrace trace(77, "acme", "Feed");
+        {
+            SPARSEAP_SPAN("request.probe", "batch", 5);
+            SPARSEAP_PHASE("request_probe");
+        }
+        while (nowMicros() - t0 < 50) {
+        }
+        trace.finish(t0, 0);
+    } // the trace uninstalls, then the session flushes
+    EXPECT_EQ(phaseCount(), phases_before + 1);
+
+    // One event per line: {"name":"..",...,"ts":..,"dur":..,"args":{..}}
+    const auto number = [](const std::string &line, const char *key) {
+        const std::string needle = std::string("\"") + key + "\":";
+        const size_t at = line.find(needle);
+        return at == std::string::npos
+                   ? int64_t{-1}
+                   : std::stoll(line.substr(at + needle.size()));
+    };
+    struct Event
+    {
+        int64_t ts, dur, req;
+        std::string line;
+    };
+    std::vector<Event> roots, spans, phases;
+    std::istringstream lines(slurp(path));
+    for (std::string line; std::getline(lines, line);) {
+        const Event e{number(line, "ts"), number(line, "dur"),
+                      number(line, "req"), line};
+        if (line.find("\"name\":\"serve.request\"") != std::string::npos)
+            roots.push_back(e);
+        else if (line.find("\"name\":\"request.probe\"") !=
+                 std::string::npos)
+            spans.push_back(e);
+        else if (line.find("\"name\":\"request_probe\"") !=
+                 std::string::npos)
+            phases.push_back(e);
+    }
+    std::remove(path.c_str());
+
+    ASSERT_EQ(roots.size(), 1u);
+    EXPECT_EQ(roots[0].req, 77);
+    ASSERT_EQ(spans.size(), 1u);
+    ASSERT_EQ(phases.size(), 1u);
+    for (const Event &e : {spans[0], phases[0]}) {
+        EXPECT_EQ(e.req, 77) << e.line;
+        EXPECT_GE(e.ts, roots[0].ts) << e.line;
+        EXPECT_LE(e.ts + e.dur, roots[0].ts + roots[0].dur) << e.line;
+    }
+    // The span's own args ride along with the request tag.
+    EXPECT_EQ(number(spans[0].line, "batch"), 5) << spans[0].line;
 }
 
 // ----------------------------------------------------------- exposition --

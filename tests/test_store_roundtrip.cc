@@ -17,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "regex/glushkov.h"
 #include "sim/engine.h"
 #include "store/artifact.h"
 #include "store/cache.h"
@@ -143,13 +144,17 @@ rewriteBlob(const BlobView &blob,
 
 /**
  * Blobs are hostile input: a checksummed blob whose indices point
- * outside the arrays they index must be rejected with an error naming
- * the section, never adopted. Each case overwrites one element of one
+ * outside the arrays they index, or whose dense masks set bits for
+ * states past the last one, must be rejected with an error naming the
+ * section, never adopted. Each case overwrites one element of one
  * section.
  */
 TEST(StoreRoundtrip, DecodeRejectsOutOfRangeIndices)
 {
     Workload w = generateWorkload("Bro217", 7, 5);
+    // A one-state reporting start last, so the reporting-start dispatch
+    // has an entry in the last dense word too.
+    w.app.addNfa(compileRegex("a", "tail"));
     const FlatAutomaton fa(w.app);
     BlobWriter bw(store::ArtifactKind::FlatAutomaton, 0xbad);
     store::encodeFlatAutomaton(fa, bw);
@@ -162,12 +167,28 @@ TEST(StoreRoundtrip, DecodeRejectsOutOfRangeIndices)
 
     const FlatAutomaton::Parts parts = fa.parts();
     const auto states = static_cast<uint32_t>(fa.size());
+    // Dense masks: bit 63 of the last word names no state when 64 does
+    // not divide N, and word-list entry k is the first in that word.
+    const FlatAutomaton::DenseArrays &d = parts.dense;
+    ASSERT_NE(states % 64, 0u);
+    const size_t last = d.words - 1;
+    const uint64_t stray = uint64_t{1} << 63;
+    const auto inLastWord = [&](std::span<const uint32_t> idx) {
+        return static_cast<size_t>(
+            std::find(idx.begin(), idx.end(), last) - idx.begin());
+    };
+    const size_t succ_k = inLastWord(d.succWordIdx);
+    const size_t start_k = inLastWord(d.startWordIdx);
+    const size_t start_succ_k = inLastWord(d.startSuccWordIdx);
+    ASSERT_LT(succ_k, d.succWordIdx.size());
+    ASSERT_LT(start_k, d.startWordIdx.size());
+    ASSERT_LT(start_succ_k, d.startSuccWordIdx.size());
     struct Case
     {
         const char *name; ///< expected in the error message
         uint32_t section;
         size_t index;
-        uint32_t value;
+        uint64_t value;
     };
     const Case cases[] = {
         {"classOf", store::kFaClassOf, 0,
@@ -180,6 +201,17 @@ TEST(StoreRoundtrip, DecodeRejectsOutOfRangeIndices)
         // state 1's start: the offsets decrease.
         {"succBegin", store::kFaSuccBegin, 1,
          static_cast<uint32_t>(parts.succ.size())},
+        // Bits for states >= N in the last word of a dense mask.
+        {"dense sodStarts", store::kFaDenseSodStarts, last,
+         d.sodStarts[last] | stray},
+        {"dense allInputStarts", store::kFaDenseAllInputStarts, last,
+         d.allInputStarts[last] | stray},
+        {"dense succWordMask", store::kFaDenseSuccWordMask, succ_k,
+         d.succWordMask[succ_k] | stray},
+        {"dense startWordMask", store::kFaDenseStartWordMask, start_k,
+         d.startWordMask[start_k] | stray},
+        {"dense startSuccWordMask", store::kFaDenseStartSuccWordMask,
+         start_succ_k, d.startSuccWordMask[start_succ_k] | stray},
     };
     ASSERT_LT(parts.succBegin[2], parts.succ.size());
 

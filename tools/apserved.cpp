@@ -11,7 +11,7 @@
  *            [--workers N] [--resident N] [--queue N] [--tenant-cap N] \
  *            [--deadline-ms N] [--max-conns N] \
  *            [--metrics-file PATH] [--sample-ms N] [--slow-us N] \
- *            [--log PATH[:LEVEL]] [--no-obs]
+ *            [--log PATH[:LEVEL]]
  *
  * Engine knobs come from the usual environment (SPARSEAP_ENGINE,
  * SPARSEAP_SEED, SPARSEAP_SCALE, ...); the flags above size the serving
@@ -22,8 +22,7 @@
  * Observability (docs/OBSERVABILITY.md): --metrics-file republishes a
  * Prometheus text exposition every sample period, --slow-us sets the
  * slow-request capture threshold, --log opens the structured JSON
- * event log (equivalent to SPARSEAP_LOG/SPARSEAP_LOG_LEVEL), and
- * --no-obs turns the whole serving-plane observability layer off.
+ * event log (equivalent to SPARSEAP_LOG/SPARSEAP_LOG_LEVEL).
  * `aptop --socket ...` is the live dashboard over the STATS reply.
  */
 
@@ -70,8 +69,7 @@ usage()
         "  --slow-us N      slow-request capture threshold "
         "(default 250000)\n"
         "  --log P[:LEVEL]  JSON event log to P (-"
-        " = stderr; level debug|info|warn|error)\n"
-        "  --no-obs         disable serving-plane observability\n");
+        " = stderr; level debug|info|warn|error)\n");
     return 2;
 }
 
@@ -133,15 +131,12 @@ main(int argc, char **argv)
             scfg.observability.slowRequestMicros = std::stoul(value());
         else if (arg == "--log" && has_value)
             log_arg = value();
-        else if (arg == "--no-obs")
-            scfg.observability.enabled = false;
         else
             return usage();
     }
     if (socket_path.empty() || apps_arg.empty())
         return usage();
     scfg.socketPath = socket_path;
-    mcfg.tenantMetrics = scfg.observability.enabled;
 
     if (!log_arg.empty()) {
         std::string path = log_arg;
