@@ -21,6 +21,8 @@ engineModeName(EngineMode mode)
         return "dfa";
     case EngineMode::Auto:
         return "auto";
+    case EngineMode::Split:
+        return "split";
     }
     return "auto";
 }

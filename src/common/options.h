@@ -58,9 +58,15 @@ enum class EngineMode {
     Dense,  ///< bit-parallel word-vector core
     Dfa,    ///< determinized hot-set table, NFA dense-core fallback
     Auto,   ///< sparse, switching to dense when the live set is dense
+    /**
+     * Hot/cold split: shallow states on a DFA, deep ones on the sparse
+     * core. A resolved core only — auto reaches it; it is never a
+     * configured mode (SPARSEAP_ENGINE does not accept it).
+     */
+    Split,
 };
 
-/** @return "sparse", "dense", "dfa" or "auto". */
+/** @return "sparse", "dense", "dfa", "auto" or "split". */
 const char *engineModeName(EngineMode mode);
 
 /** Parsed global options; read once per process via globalOptions(). */

@@ -232,6 +232,13 @@ nonzeroWordsAvx2(uint64_t *dst, const uint64_t *src, size_t n)
 
 // ------------------------------------------------------------- avx512 --
 
+// All-lanes masks for the zero-masking intrinsic forms. GCC 12's
+// unmasked wrappers (_mm512_andnot_si512, _mm512_slli_epi64, ...) pass
+// an undefined source vector that -Wmaybe-uninitialized flags; with
+// every lane selected the masked forms compute the same value.
+constexpr __mmask8 kAll8 = 0xFF;
+constexpr __mmask16 kAll16 = 0xFFFF;
+
 __attribute__((target("avx512f,avx512bw"))) void
 bitAndAvx512(uint64_t *dst, const uint64_t *a, const uint64_t *b,
              size_t n)
@@ -291,7 +298,7 @@ andNotIntoAvx512(uint64_t *dst, const uint64_t *src, size_t n)
     for (; i + 8 <= n; i += 8) {
         const __m512i d = _mm512_loadu_si512(dst + i);
         const __m512i s = _mm512_loadu_si512(src + i);
-        _mm512_storeu_si512(dst + i, _mm512_andnot_si512(s, d));
+        _mm512_storeu_si512(dst + i, _mm512_maskz_andnot_epi64(kAll8, s, d));
     }
     if (i < n) {
         const __mmask8 m =
@@ -299,7 +306,7 @@ andNotIntoAvx512(uint64_t *dst, const uint64_t *src, size_t n)
         const __m512i d = _mm512_maskz_loadu_epi64(m, dst + i);
         const __m512i s = _mm512_maskz_loadu_epi64(m, src + i);
         _mm512_mask_storeu_epi64(dst + i, m,
-                                 _mm512_andnot_si512(s, d));
+                                 _mm512_maskz_andnot_epi64(kAll8, s, d));
     }
 }
 
@@ -313,8 +320,9 @@ shiftOrIntoAvx512(uint64_t *dst, const uint64_t *src, size_t n)
     for (; i + 8 <= n; i += 8) {
         const __m512i cur = _mm512_loadu_si512(src + i);
         const __m512i prev = _mm512_loadu_si512(src + i - 1);
-        const __m512i v = _mm512_or_si512(_mm512_slli_epi64(cur, 1),
-                                          _mm512_srli_epi64(prev, 63));
+        const __m512i v =
+            _mm512_or_si512(_mm512_maskz_slli_epi64(kAll8, cur, 1),
+                            _mm512_maskz_srli_epi64(kAll8, prev, 63));
         const __m512i d = _mm512_loadu_si512(dst + i);
         _mm512_storeu_si512(dst + i, _mm512_or_si512(d, v));
     }
@@ -323,8 +331,9 @@ shiftOrIntoAvx512(uint64_t *dst, const uint64_t *src, size_t n)
             static_cast<__mmask8>((1u << (n - i)) - 1u);
         const __m512i cur = _mm512_maskz_loadu_epi64(m, src + i);
         const __m512i prev = _mm512_maskz_loadu_epi64(m, src + i - 1);
-        const __m512i v = _mm512_or_si512(_mm512_slli_epi64(cur, 1),
-                                          _mm512_srli_epi64(prev, 63));
+        const __m512i v =
+            _mm512_or_si512(_mm512_maskz_slli_epi64(kAll8, cur, 1),
+                            _mm512_maskz_srli_epi64(kAll8, prev, 63));
         const __m512i d = _mm512_maskz_loadu_epi64(m, dst + i);
         _mm512_mask_storeu_epi64(dst + i, m, _mm512_or_si512(d, v));
     }
@@ -416,10 +425,12 @@ __attribute__((target("avx512f,avx512bw"))) size_t
 scanForByteMaskAvx512(const uint8_t *data, size_t n,
                       const ScanMask &mask)
 {
-    const __m512i lo_clear = _mm512_broadcast_i32x4(_mm_load_si128(
-        reinterpret_cast<const __m128i *>(mask.loClear)));
-    const __m512i lo_set = _mm512_broadcast_i32x4(_mm_load_si128(
-        reinterpret_cast<const __m128i *>(mask.loSet)));
+    const __m512i lo_clear = _mm512_maskz_broadcast_i32x4(
+        kAll16, _mm_load_si128(
+                    reinterpret_cast<const __m128i *>(mask.loClear)));
+    const __m512i lo_set = _mm512_maskz_broadcast_i32x4(
+        kAll16, _mm_load_si128(
+                    reinterpret_cast<const __m128i *>(mask.loSet)));
     const __m512i hi_bit = _mm512_set1_epi8(static_cast<char>(0x80));
     const __m512i power = _mm512_set1_epi64(
         static_cast<long long>(0x8040201008040201ull));
@@ -429,8 +440,8 @@ scanForByteMaskAvx512(const uint8_t *data, size_t n,
         const __m512i shuf1 = _mm512_shuffle_epi8(lo_clear, v);
         const __m512i shuf2 = _mm512_shuffle_epi8(
             lo_set, _mm512_xor_si512(v, hi_bit));
-        const __m512i hi = _mm512_andnot_si512(
-            hi_bit, _mm512_srli_epi64(v, 4));
+        const __m512i hi = _mm512_maskz_andnot_epi64(
+            kAll8, hi_bit, _mm512_maskz_srli_epi64(kAll8, v, 4));
         const __m512i shuf3 = _mm512_shuffle_epi8(power, hi);
         const __m512i hit = _mm512_and_si512(
             _mm512_or_si512(shuf1, shuf2), shuf3);
@@ -453,7 +464,11 @@ popcountAvx512(const uint64_t *src, size_t n)
     for (; i + 8 <= n; i += 8)
         acc = _mm512_add_epi64(
             acc, _mm512_popcnt_epi64(_mm512_loadu_si512(src + i)));
-    uint64_t sum = static_cast<uint64_t>(_mm512_reduce_add_epi64(acc));
+    uint64_t lanes[8];
+    _mm512_storeu_si512(lanes, acc);
+    uint64_t sum = 0;
+    for (uint64_t lane : lanes)
+        sum += lane;
     for (; i < n; ++i)
         sum += static_cast<uint64_t>(__builtin_popcountll(src[i]));
     return sum;

@@ -15,10 +15,23 @@ SccResult::largestSize() const
     return best;
 }
 
+SuccessorsFn
+nfaSuccessors(const Nfa &nfa)
+{
+    return [&nfa](StateId s) -> std::span<const StateId> {
+        return nfa.state(s).successors;
+    };
+}
+
 SccResult
 findSccs(const Nfa &nfa)
 {
-    const size_t n = nfa.size();
+    return findSccs(nfa.size(), nfaSuccessors(nfa));
+}
+
+SccResult
+findSccs(size_t n, const SuccessorsFn &successors)
+{
     constexpr uint32_t kUnvisited = ~0u;
 
     SccResult result;
@@ -30,10 +43,11 @@ findSccs(const Nfa &nfa)
     std::vector<StateId> stack;
     uint32_t next_index = 0;
 
-    // Explicit DFS frame: (state, position in its successor list).
+    // Explicit DFS frame: (state, its successor list, position in it).
     struct Frame
     {
         StateId v;
+        std::span<const StateId> succ;
         size_t child;
     };
     std::vector<Frame> dfs;
@@ -41,21 +55,20 @@ findSccs(const Nfa &nfa)
     for (StateId root = 0; root < n; ++root) {
         if (index[root] != kUnvisited)
             continue;
-        dfs.push_back({root, 0});
+        dfs.push_back({root, successors(root), 0});
         index[root] = lowlink[root] = next_index++;
         stack.push_back(root);
         on_stack[root] = true;
 
         while (!dfs.empty()) {
             Frame &fr = dfs.back();
-            const auto &succ = nfa.state(fr.v).successors;
-            if (fr.child < succ.size()) {
-                StateId w = succ[fr.child++];
+            if (fr.child < fr.succ.size()) {
+                StateId w = fr.succ[fr.child++];
                 if (index[w] == kUnvisited) {
                     index[w] = lowlink[w] = next_index++;
                     stack.push_back(w);
                     on_stack[w] = true;
-                    dfs.push_back({w, 0});
+                    dfs.push_back({w, successors(w), 0});
                 } else if (on_stack[w]) {
                     lowlink[fr.v] = std::min(lowlink[fr.v], index[w]);
                 }
@@ -91,11 +104,17 @@ findSccs(const Nfa &nfa)
 Condensation
 condense(const Nfa &nfa, const SccResult &scc)
 {
+    return condense(nfa.size(), nfaSuccessors(nfa), scc);
+}
+
+Condensation
+condense(size_t n, const SuccessorsFn &successors, const SccResult &scc)
+{
     Condensation c;
     c.adj.resize(scc.count);
-    for (StateId u = 0; u < nfa.size(); ++u) {
+    for (StateId u = 0; u < n; ++u) {
         uint32_t cu = scc.component[u];
-        for (StateId v : nfa.state(u).successors) {
+        for (StateId v : successors(u)) {
             uint32_t cv = scc.component[v];
             if (cu != cv)
                 c.adj[cu].push_back(cv);

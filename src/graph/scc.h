@@ -13,6 +13,8 @@
 #define SPARSEAP_GRAPH_SCC_H
 
 #include <cstdint>
+#include <functional>
+#include <span>
 #include <vector>
 
 #include "nfa/nfa.h"
@@ -34,9 +36,19 @@ struct SccResult
 };
 
 /**
+ * Out-edges of state s. The graph passes take the adjacency through
+ * this accessor, so one implementation serves an Nfa and a flattened
+ * automaton's successor CSR alike. Called once per state per pass.
+ */
+using SuccessorsFn = std::function<std::span<const StateId>(StateId)>;
+
+/**
  * Find SCCs with an iterative Tarjan traversal (no recursion, safe for the
  * multi-thousand-layer automata in ClamAV/Snort workloads).
  */
+SccResult findSccs(size_t n, const SuccessorsFn &successors);
+
+/** findSccs over an NFA's own successor lists. */
 SccResult findSccs(const Nfa &nfa);
 
 /** Condensation DAG: one node per SCC, deduplicated edges. */
@@ -46,8 +58,15 @@ struct Condensation
     std::vector<std::vector<uint32_t>> adj;
 };
 
-/** Build the condensation DAG from an NFA and its SCC labelling. */
+/** Build the condensation DAG from a graph and its SCC labelling. */
+Condensation condense(size_t n, const SuccessorsFn &successors,
+                      const SccResult &scc);
+
+/** condense over an NFA's own successor lists. */
 Condensation condense(const Nfa &nfa, const SccResult &scc);
+
+/** The accessor for an NFA's successor lists. */
+SuccessorsFn nfaSuccessors(const Nfa &nfa);
 
 } // namespace sparseap
 

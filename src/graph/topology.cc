@@ -11,9 +11,21 @@ analyzeTopology(const Nfa &nfa)
 {
     SPARSEAP_ASSERT(nfa.finalized(), "analyzeTopology needs finalized NFA");
     Topology topo;
-    topo.scc = findSccs(nfa);
-    const Condensation cond = condense(nfa, topo.scc);
-    const uint32_t nc = topo.scc.count;
+    topo.order = topologicalLayers(nfa.size(), nfaSuccessors(nfa),
+                                   &topo.scc);
+    topo.maxOrder = 1;
+    for (uint32_t o : topo.order)
+        topo.maxOrder = std::max(topo.maxOrder, o);
+    return topo;
+}
+
+std::vector<uint32_t>
+topologicalLayers(size_t n, const SuccessorsFn &successors,
+                  SccResult *scc_out)
+{
+    SccResult scc = findSccs(n, successors);
+    const Condensation cond = condense(n, successors, scc);
+    const uint32_t nc = scc.count;
 
     // Longest-path layering over the condensation DAG via Kahn order.
     std::vector<uint32_t> indegree(nc, 0);
@@ -41,13 +53,12 @@ analyzeTopology(const Nfa &nfa)
                     "condensation is not a DAG: processed ", processed,
                     " of ", nc, " components");
 
-    topo.order.resize(nfa.size());
-    topo.maxOrder = 1;
-    for (StateId s = 0; s < nfa.size(); ++s) {
-        topo.order[s] = layer[topo.scc.component[s]];
-        topo.maxOrder = std::max(topo.maxOrder, topo.order[s]);
-    }
-    return topo;
+    std::vector<uint32_t> order(n);
+    for (StateId s = 0; s < n; ++s)
+        order[s] = layer[scc.component[s]];
+    if (scc_out)
+        *scc_out = std::move(scc);
+    return order;
 }
 
 DepthBucket

@@ -47,6 +47,18 @@ struct Topology
 Topology analyzeTopology(const Nfa &nfa);
 
 /**
+ * Longest-path layers (1-based, as Topology::order) of every state of
+ * any graph given by its successor accessor. Disconnected parts — the
+ * NFAs of a flattened application — are layered independently, so a
+ * flattened automaton's layers equal its NFAs' own. Runs in O(V + E).
+ *
+ * @param scc_out optional: receives the SCC labelling used
+ */
+std::vector<uint32_t> topologicalLayers(size_t n,
+                                        const SuccessorsFn &successors,
+                                        SccResult *scc_out = nullptr);
+
+/**
  * Depth buckets used for presentation in Fig. 5: shallow [0, 0.3),
  * medium [0.3, 0.6), deep [0.6, 1].
  */

@@ -102,6 +102,14 @@ denseCyclesByTenant()
 }
 
 telemetry::LabeledCounter &
+splitCyclesByTenant()
+{
+    static auto &c =
+        *new telemetry::LabeledCounter("serve.split_cycles");
+    return c;
+}
+
+telemetry::LabeledCounter &
 sparseCyclesByTenant()
 {
     static auto &c =
@@ -140,6 +148,7 @@ struct TenantFold
     uint64_t bytes = 0;
     uint64_t dfaCycles = 0;
     uint64_t denseCycles = 0;
+    uint64_t splitCycles = 0;
     uint64_t sparseCycles = 0;
     uint64_t skipSymbols = 0;
     uint64_t skipJumps = 0;
@@ -152,12 +161,20 @@ struct TenantFold
              const EngineSession &session)
     {
         const uint64_t cycles = after.cycles - before.cycles;
-        if (session.dfaPhase())
+        switch (session.resolvedMode()) {
+        case EngineMode::Dfa:
             dfaCycles += cycles;
-        else if (session.resolvedMode() == EngineMode::Dense)
+            break;
+        case EngineMode::Dense:
             denseCycles += cycles;
-        else
+            break;
+        case EngineMode::Split:
+            splitCycles += cycles;
+            break;
+        default:
             sparseCycles += cycles;
+            break;
+        }
         skipSymbols += after.skippedSymbols - before.skippedSymbols;
         skipJumps += after.skipJumps - before.skipJumps;
     }
@@ -172,6 +189,8 @@ struct TenantFold
             dfaCyclesByTenant().add(tenant, dfaCycles);
         if (denseCycles)
             denseCyclesByTenant().add(tenant, denseCycles);
+        if (splitCycles)
+            splitCyclesByTenant().add(tenant, splitCycles);
         if (sparseCycles)
             sparseCyclesByTenant().add(tenant, sparseCycles);
         if (skipSymbols)
@@ -353,27 +372,36 @@ MatchService::checkoutLocked(std::unique_lock<std::mutex> *lock,
 {
     while (stream->busy)
         busy_cv_.wait(*lock);
-
-    if (!stream->resident) {
-        std::unique_ptr<EngineSession> session =
-            takeSessionLocked(tenant);
-        if (stream->fresh) {
-            session->restart();
-            stream->fresh = false;
-        } else {
-            session->resume(stream->snapshot);
-            stream->snapshot = EngineSession::Snapshot{};
-            parked_bytes_ -= stream->snapshotBytes;
-            stream->snapshotBytes = 0;
-            ++stats_.resumes;
-            resumesCounter().add(1);
-        }
-        stream->session = std::move(session);
-        stream->resident = true;
-        ++resident_count_;
-    }
     stream->busy = true;
     stream->lru = ++lru_clock_;
+    if (stream->resident)
+        return;
+
+    std::unique_ptr<EngineSession> session = takeSessionLocked(tenant);
+    const bool fresh = stream->fresh;
+    EngineSession::Snapshot snapshot;
+    if (fresh) {
+        stream->fresh = false;
+    } else {
+        snapshot = std::move(stream->snapshot);
+        stream->snapshot = EngineSession::Snapshot{};
+        parked_bytes_ -= stream->snapshotBytes;
+        stream->snapshotBytes = 0;
+        ++stats_.resumes;
+        resumesCounter().add(1);
+    }
+    // restart()/resume() may build a nominated DFA or split over the
+    // whole automaton: run it unlocked, so other streams and tenants
+    // keep feeding. The busy flag keeps this stream ours meanwhile.
+    lock->unlock();
+    if (fresh)
+        session->restart();
+    else
+        session->resume(snapshot);
+    lock->lock();
+    stream->session = std::move(session);
+    stream->resident = true;
+    ++resident_count_;
 }
 
 void

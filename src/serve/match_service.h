@@ -196,7 +196,9 @@ class MatchService
      * Make @p stream resident and mark it busy, resuming its snapshot
      * into a (pooled or fresh) session. Blocks while another caller
      * has it busy. Caller holds the lock; the lock is released and
-     * reacquired across the wait.
+     * reacquired across the wait, and across the session's restart()
+     * or resume() (which may build a nominated DFA or split) with the
+     * stream already marked busy.
      */
     void checkoutLocked(std::unique_lock<std::mutex> *lock,
                         Tenant *tenant, Stream *stream);

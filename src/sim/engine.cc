@@ -22,7 +22,7 @@ namespace {
  */
 void
 recordRun(const SimResult &result, size_t cycles,
-          const DenseCore *dense, bool handover)
+          const DenseCore *dense, const SessionStats &st)
 {
     static telemetry::Counter runs("engine.runs");
     static telemetry::Counter cycle_count("engine.cycles");
@@ -34,6 +34,7 @@ recordRun(const SimResult &result, size_t cycles,
     static telemetry::Counter live_words("engine.dense_live_words");
     static telemetry::Counter dfa_runs("engine.dfa_runs");
     static telemetry::Counter dfa_cycles("engine.dfa_cycles");
+    static telemetry::Counter split_cycles("engine.split_cycles");
     static telemetry::Counter skip_symbols("engine.input_skip_symbols");
     static telemetry::Counter skip_jumps("engine.input_skip_jumps");
     static telemetry::Gauge simd_isa("engine.simd_isa");
@@ -50,9 +51,11 @@ recordRun(const SimResult &result, size_t cycles,
         dfa_runs.add(1);
         dfa_cycles.add(cycles);
     }
+    if (st.usedSplit)
+        split_cycles.add(cycles);
     if (result.usedDenseCore && dense) {
         dense_runs.add(1);
-        if (handover)
+        if (st.handedOver)
             handovers.add(1);
         const DenseCore::StepStats &ds = dense->stepStats();
         dense_cycles.add(ds.cycles);
@@ -107,8 +110,7 @@ Engine::run(std::span<const uint8_t> input, HotStateProfiler *profiler)
     result.usedDfa = st.usedDfa;
     result.reports = session_->takeReports();
     recordRun(result, n,
-              st.usedDenseCore ? session_->denseCore() : nullptr,
-              st.handedOver);
+              st.usedDenseCore ? session_->denseCore() : nullptr, st);
     return result;
 }
 

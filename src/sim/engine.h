@@ -7,7 +7,7 @@
  * *activates*; activation of a reporting state emits a report; successors
  * of activated states are *enabled* for the next cycle.
  *
- * Three interchangeable stepping cores implement these semantics
+ * Four interchangeable stepping cores implement these semantics
  * (property tests prove they emit identical report multisets):
  *
  *  - **sparse** (ExecCore): dynamic enabled list with the latched/
@@ -20,15 +20,25 @@
  *    per symbol, independent of the live set. Wins when the automaton
  *    is small enough to determinize (the profiler's hot partitions);
  *    falls back to the dense core when the budget is exceeded.
+ *  - **split** (HotDfa over the layer <= kSplitLayers states, plus
+ *    ExecCore for the rest): the paper's hot/cold split on the CPU.
+ *    The shallow states, where the traffic is (Fig. 5), take one
+ *    lookup per symbol; each DFA state enables the deeper states its
+ *    activated set reaches (Fig. 7's intermediate reports) on a
+ *    sparse core that holds only them. Wins on large, sparse rule sets
+ *    (Snort) whose whole automaton will not determinize. Auto only.
  *
  * The default *auto* mode runs the automaton's DFA from cycle 0
  * whenever one is already built (at daemon load, by a store attach, or
- * by an earlier nomination). Otherwise it probes the live-set density
- * over the first cycles on the sparse core and hands the in-flight run
- * over to the dense core when the automaton runs dense (see
- * docs/PERFORMANCE.md); that handover nominates small automata
- * (<= kMaxAutoDfaStates) for one determinization attempt at the next
- * run. SPARSEAP_ENGINE=sparse|dense|dfa|auto overrides.
+ * by an earlier nomination), else its split whenever that is built.
+ * Otherwise it probes the live-set density over the first cycles on
+ * the sparse core and hands the in-flight run over to the dense core
+ * when the automaton runs dense (see docs/PERFORMANCE.md). The probe's
+ * verdict nominates one build for the next run: a handover the whole
+ * DFA (automata <= kMaxAutoDfaStates), a declined probe the split. A
+ * split run whose sparse side reaches the probe's dense threshold
+ * retires the split, and later runs probe again.
+ * SPARSEAP_ENGINE=sparse|dense|dfa|auto overrides.
  */
 
 #ifndef SPARSEAP_SIM_ENGINE_H
@@ -105,7 +115,8 @@ class Engine
      * The core the most recent run actually executed on — the
      * configured mode with auto/bailout resolution applied (Sparse
      * when the auto probe declined or never decided, Dense after a
-     * handover or DFA budget bailout, Dfa on the table). Before the
+     * handover or DFA budget bailout, Dfa on the table, Split on the
+     * hot/cold split). Before the
      * first run this is the configured mode's default resolution.
      * SimResult's usedDenseCore/usedDfa flags carry the same
      * information per result; this accessor reads it off the engine
@@ -127,6 +138,12 @@ class Engine
     /** Auto-mode heuristic constants (documented in PERFORMANCE.md). */
     /** Cycles sampled on the sparse core before deciding. */
     static constexpr size_t kProbeCycles = 128;
+    /**
+     * The hot/cold split's layer cut: states at topological layer <=
+     * kSplitLayers of their NFA run on the split's DFA, deeper states
+     * on the sparse core (FlatAutomaton::ensureSplit).
+     */
+    static constexpr uint32_t kSplitLayers = 3;
     /**
      * Hand over when the sparse core's measured per-cycle work (dynamic
      * enabled states + dispatch-table matches) exceeds this many units
@@ -151,7 +168,7 @@ class Engine
     /**
      * The engine is a thin shell over a suspendable session
      * (sim/session.h): run() = restart + one whole-input feed. Cross-
-     * run state — a pending DFA nomination, the dense core, report-
+     * run state — a pending nomination, the dense core, report-
      * capacity reuse — lives in the session, so the chunked and
      * whole-input paths are one implementation.
      */

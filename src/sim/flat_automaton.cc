@@ -4,7 +4,10 @@
 #include <unordered_map>
 
 #include "common/logging.h"
+#include "graph/topology.h"
+#include "sim/engine.h"
 #include "sim/hot_dfa.h"
+#include "telemetry/metrics.h"
 #include "telemetry/trace.h"
 
 namespace sparseap {
@@ -190,28 +193,49 @@ FlatAutomaton::parts() const
 std::shared_ptr<const HotDfa>
 FlatAutomaton::ensureHotDfa() const
 {
-    std::call_once(dfa_once_, [this] {
-        hot_dfa_ = HotDfa::build(*this, HotDfa::Limits{});
-        dfa_ready_.store(true, std::memory_order_release);
-    });
-    return hot_dfa_;
+    return hot_dfa_.ensure(
+        [this] { return HotDfa::build(*this, HotDfa::Limits{}); });
 }
 
 std::shared_ptr<const HotDfa>
 FlatAutomaton::hotDfaIfBuilt() const
 {
-    if (!dfa_ready_.load(std::memory_order_acquire))
-        return nullptr;
-    return hot_dfa_;
+    return hot_dfa_.ifBuilt();
 }
 
 void
 FlatAutomaton::attachHotDfa(std::shared_ptr<const HotDfa> dfa) const
 {
-    std::call_once(dfa_once_, [this, &dfa] {
-        hot_dfa_ = std::move(dfa);
-        dfa_ready_.store(true, std::memory_order_release);
+    hot_dfa_.ensure([&dfa] { return std::move(dfa); });
+}
+
+std::shared_ptr<const HotDfa>
+FlatAutomaton::ensureSplit() const
+{
+    return split_.ensure([this] {
+        const std::vector<uint32_t> layer = topologicalLayers(
+            size(), [this](StateId s) { return successors(s); });
+        std::vector<uint8_t> hot(size());
+        for (GlobalStateId s = 0; s < size(); ++s)
+            hot[s] = layer[s] <= Engine::kSplitLayers;
+        return HotDfa::build(*this, HotDfa::Limits{}, hot);
     });
+}
+
+std::shared_ptr<const HotDfa>
+FlatAutomaton::splitIfBuilt() const
+{
+    if (split_retired_.load(std::memory_order_relaxed))
+        return nullptr;
+    return split_.ifBuilt();
+}
+
+void
+FlatAutomaton::retireSplit() const
+{
+    static telemetry::Counter retirements("split.retirements");
+    if (!split_retired_.exchange(true, std::memory_order_relaxed))
+        retirements.add(1);
 }
 
 void

@@ -329,6 +329,31 @@ class FlatAutomaton
     void attachHotDfa(std::shared_ptr<const HotDfa> dfa) const;
 
     /**
+     * Hot/cold split (sim/hot_dfa.h): the states at topological layer
+     * <= Engine::kSplitLayers of their NFA determinized under the
+     * default HotDfa::Limits, each DFA state listing the deeper states
+     * it enables. The layers come from this automaton's own successor
+     * CSR, so a store-loaded automaton splits as well. Like
+     * ensureHotDfa, exactly one attempt per automaton, bailout
+     * included.
+     */
+    std::shared_ptr<const HotDfa> ensureSplit() const;
+
+    /**
+     * The split auto may start streams on: built and not retired; null
+     * otherwise (never builds).
+     */
+    std::shared_ptr<const HotDfa> splitIfBuilt() const;
+
+    /**
+     * Stop auto from starting streams on the split, because a stream on
+     * it measured its sparse side running dense (EngineSession). One
+     * way; streams already on the split finish on it, and a parked one
+     * still resumes through ensureSplit().
+     */
+    void retireSplit() const;
+
+    /**
      * Flat snapshot of every array of this automaton *and* its dense
      * view, for the artifact store codec (src/store/artifact.h). The
      * dense view is materialized as a side effect — a stored automaton
@@ -408,11 +433,34 @@ class FlatAutomaton
     mutable std::once_flag dense_once_;
     mutable std::unique_ptr<DenseView> dense_;
 
-    /** One-shot hot-DFA slot: dfa_ready_ (acquire/release) publishes
-     *  hot_dfa_, which may be null after a budget bailout. */
-    mutable std::once_flag dfa_once_;
-    mutable std::shared_ptr<const HotDfa> hot_dfa_;
-    mutable std::atomic<bool> dfa_ready_{false};
+    /** One-shot DFA slot: `ready` (acquire/release) publishes `dfa`,
+     *  which may be null after a budget bailout. */
+    struct DfaSlot
+    {
+        std::once_flag once;
+        std::shared_ptr<const HotDfa> dfa;
+        std::atomic<bool> ready{false};
+
+        template <typename Build>
+        std::shared_ptr<const HotDfa>
+        ensure(Build &&build)
+        {
+            std::call_once(once, [&] {
+                dfa = build();
+                ready.store(true, std::memory_order_release);
+            });
+            return dfa;
+        }
+
+        std::shared_ptr<const HotDfa>
+        ifBuilt() const
+        {
+            return ready.load(std::memory_order_acquire) ? dfa : nullptr;
+        }
+    };
+    mutable DfaSlot hot_dfa_;
+    mutable DfaSlot split_;
+    mutable std::atomic<bool> split_retired_{false};
 };
 
 } // namespace sparseap

@@ -19,6 +19,17 @@
  * needs no special handling: a universal self-loop state that enters an
  * activated set re-enters it on every later symbol by construction.
  *
+ * The same construction determinizes a *hot subset* of the states —
+ * the hot side of the hot/cold split (EngineSession's split phase). A
+ * DFA state is then the hot activated set, keyed on hot states only,
+ * and additionally lists the cold states that set enables for the next
+ * symbol: its hot→cold edges, the intermediate reports of the paper's
+ * Fig. 7. The cold side runs on the sparse core, driven by those
+ * enables. The subset must be closed under predecessors (no cold state
+ * enables a hot one), which a topological layer cut guarantees. The
+ * whole-automaton DFA is the subset "every state", with no cold
+ * enables.
+ *
  * Construction is a plain BFS expanding classes in ascending order, so
  * state numbering — and therefore the encoded artifact — is
  * deterministic. The pass *bails out* (returns null) the moment the
@@ -65,11 +76,16 @@ class HotDfa
     };
 
     /**
-     * Determinize @p fa under @p limits.
+     * Determinize @p fa, or its hot subset, under @p limits.
+     * @param hot per-state flags selecting the hot subset; empty means
+     *        every state (the whole-automaton DFA, counted as
+     *        dfa.builds). A subset build (split.builds) must be closed
+     *        under predecessors.
      * @return the DFA, or null when a budget was exceeded.
      */
     static std::shared_ptr<const HotDfa>
-    build(const FlatAutomaton &fa, const Limits &limits);
+    build(const FlatAutomaton &fa, const Limits &limits,
+          std::span<const uint8_t> hot = {});
 
     /** Number of DFA states (>= 1; state 0 is the start state). */
     size_t states() const { return states_; }
@@ -103,10 +119,26 @@ class HotDfa
                 report_begin_[state + 1] - report_begin_[state]};
     }
 
+    /** True iff this is a hot-subset DFA with a cold side. */
+    bool split() const { return !cold_begin_.empty(); }
+
+    /**
+     * Cold states @p state's activated set enables for the next symbol,
+     * ascending id (split only). Cold all-input starts join every
+     * state's list; state 0's list holds the cold starts enabled for
+     * the stream's first symbol.
+     */
+    std::span<const GlobalStateId>
+    coldEnables(uint32_t state) const
+    {
+        return {cold_ids_.data() + cold_begin_[state],
+                cold_begin_[state + 1] - cold_begin_[state]};
+    }
+
     /**
      * Per-state input-skip mask, or null when @p state is not
-     * skippable. A state is skippable when it emits no reports and
-     * self-loops on at least 32 byte values; the mask then holds its
+     * skippable. A state is skippable when it emits no reports, enables
+     * no cold state and self-loops on at least 32 byte values; the mask then holds its
      * *interesting* bytes — those whose transition leaves the state —
      * so while the DFA sits in it, the driver may scan the input
      * (simd::Ops::scanForByteMask) and jump straight to the next byte
@@ -128,7 +160,8 @@ class HotDfa
     size_t skippableStates() const { return skip_masks_.size(); }
 
     /**
-     * Flat snapshot for the artifact store codec. The byte→class map is
+     * Flat snapshot for the artifact store codec (whole-automaton DFAs
+     * only: the cold enables are not part of it). The byte→class map is
      * not part of it — it is the automaton's own, already stored with
      * the FlatAutomaton sections.
      */
@@ -181,6 +214,9 @@ class HotDfa
     std::span<const uint64_t> skip_bits_;  ///< 4 words per mask
     /** Prepared scan masks (derived from skip_bits_, never stored). */
     std::vector<simd::ScanMask> skip_masks_;
+    /** Cold-enable CSR, states + 1 entries; empty without a cold side. */
+    std::vector<uint32_t> cold_begin_;
+    std::vector<GlobalStateId> cold_ids_;
 
     struct Owned
     {

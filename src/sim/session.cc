@@ -27,6 +27,17 @@ namespace {
 constexpr uint64_t kAdaptJumps = 64;
 constexpr uint64_t kMinBytesPerJump = 4;
 
+/**
+ * Probe work at which the dense core pays off: its fixed per-word sweep
+ * cost over the probe window.
+ */
+uint64_t
+denseWorkThreshold(const FlatAutomaton &fa)
+{
+    return static_cast<uint64_t>(Engine::kProbeCycles) *
+           Engine::kDenseWorkPerWord * wordsForBits(fa.size());
+}
+
 void
 countChunks(uint64_t n)
 {
@@ -72,6 +83,8 @@ EngineSession::resolvedMode() const
         return EngineMode::Dense;
     case Phase::Dfa:
         return EngineMode::Dfa;
+    case Phase::Split:
+        return EngineMode::Split;
     }
     return EngineMode::Sparse; // unreachable
 }
@@ -82,15 +95,19 @@ EngineSession::restart(HotStateProfiler *profiler)
     static telemetry::Counter streams("session.streams");
     streams.add(1);
 
-    // A handed-over auto stream nominates determinization for the
-    // *next* stream (Engine::run parity: the measured work that chose
-    // the dense core also argues the automaton runs hot enough to
-    // determinize). This is the only determinization auto starts; the
-    // automaton caches its one attempt, bailout included.
-    if (pending_dfa_nomination_ &&
+    // The previous auto stream's probe nominates a build for the
+    // *next* stream (Engine::run parity): a handover the whole DFA (the
+    // measured work that chose the dense core also argues the automaton
+    // runs hot enough to determinize), a declined probe the split (a
+    // sparse automaton whose shallow layers carry the traffic). These
+    // are the only builds auto starts; the automaton caches its one
+    // attempt at each, bailout included.
+    if (pending_nomination_ == Nomination::Dfa &&
         fa_.size() <= Engine::kMaxAutoDfaStates)
         fa_.ensureHotDfa();
-    pending_dfa_nomination_ = false;
+    else if (pending_nomination_ == Nomination::Split)
+        fa_.ensureSplit();
+    pending_nomination_ = Nomination::None;
 
     offset_ = 0;
     report_capacity_ = std::max(report_capacity_, reports_.size());
@@ -113,10 +130,13 @@ EngineSession::restart(HotStateProfiler *profiler)
 void
 EngineSession::startCore(EngineMode mode, HotStateProfiler *profiler)
 {
+    SPARSEAP_ASSERT(mode != EngineMode::Split,
+                    "split is a resolved core, not a configured mode");
     // Pinned dfa determinizes (a bailout, logged by HotDfa::build, runs
     // dense). Auto runs the automaton's DFA from cycle 0 whenever one is
     // built — at daemon load, by a store attach, or by an earlier
-    // stream's nomination — and never determinizes here.
+    // stream's nomination — else its split whenever that is built, and
+    // never determinizes here.
     if (mode == EngineMode::Dfa || mode == EngineMode::Auto) {
         dfa_ = mode == EngineMode::Dfa ? fa_.ensureHotDfa()
                                        : fa_.hotDfaIfBuilt();
@@ -124,6 +144,15 @@ EngineSession::startCore(EngineMode mode, HotStateProfiler *profiler)
             phase_ = Phase::Dfa;
             return;
         }
+    }
+    if (mode == EngineMode::Auto && (dfa_ = fa_.splitIfBuilt())) {
+        // The cold side starts empty: only the hot→cold enables (and
+        // the cold starts, state 0's list) ever enable its states.
+        core_->reset(config_.alphabet, nullptr, /*install_starts=*/false);
+        for (GlobalStateId s : dfa_->coldEnables(0))
+            core_->enableState(s);
+        phase_ = Phase::Split;
+        return;
     }
     if (mode == EngineMode::Dense || mode == EngineMode::Dfa) {
         ensureDense();
@@ -144,10 +173,7 @@ EngineSession::startCore(EngineMode mode, HotStateProfiler *profiler)
 void
 EngineSession::decideHandover()
 {
-    const uint64_t threshold =
-        static_cast<uint64_t>(Engine::kProbeCycles) *
-        Engine::kDenseWorkPerWord * wordsForBits(fa_.size());
-    if (probe_work_ >= threshold) {
+    if (probe_work_ >= denseWorkThreshold(fa_)) {
         // Dense from here on, for the rest of the stream: hand the
         // in-flight enabled set over. The decision is made exactly once
         // per stream, at the same global cycle a whole-input run
@@ -159,10 +185,26 @@ EngineSession::decideHandover()
         dense_->seed(live);
         phase_ = Phase::Dense;
         stats_.handedOver = true;
-        pending_dfa_nomination_ = true;
+        pending_nomination_ = Nomination::Dfa;
     } else {
         phase_ = Phase::Sparse; // committed: no further probing
+        pending_nomination_ = Nomination::Split;
     }
+}
+
+void
+EngineSession::decideSplit()
+{
+    // The split stream's own probe: its sparse side (the cold core's
+    // measured work plus one unit per hot→cold enable) over the first
+    // kProbeCycles symbols, against the threshold the probe hands over
+    // at. Past it the deep states carry the traffic and the automaton
+    // runs dense even when split, so later streams probe again; this
+    // one finishes on the split. Automata too small to ever run dense
+    // keep it, as they skip the probe.
+    if (fa_.size() >= Engine::kMinDenseStates &&
+        probe_work_ >= denseWorkThreshold(fa_))
+        fa_.retireSplit();
 }
 
 size_t
@@ -188,21 +230,50 @@ EngineSession::feedDense(std::span<const uint8_t> chunk, size_t i)
     return n;
 }
 
+template <bool kSplit, bool kMeasure>
 size_t
-EngineSession::feedDfa(std::span<const uint8_t> chunk, size_t i)
+EngineSession::feedTable(std::span<const uint8_t> chunk, size_t i)
 {
     const size_t n = chunk.size();
     const HotDfa &dfa = *dfa_;
     uint32_t state = dfa_state_;
+    // One symbol: the table step and its reports, then — split only —
+    // the cold core's step (a no-op while idle, so skipped) and the new
+    // DFA state's hot→cold enables for the next symbol, both counted
+    // as probe work while kMeasure. Hot reports precede cold ones within
+    // a position. Forced inline: an outlined call keeps `state` in
+    // memory and costs the DFA loop ~10%.
+    auto step = [&](size_t j) __attribute__((always_inline)) {
+        state = dfa.next(state, chunk[j]);
+        for (GlobalStateId id : dfa.reportsOf(state))
+            reports_.push_back({offset_ + j, id});
+        if constexpr (kSplit) {
+            if (!core_->idle()) {
+                core_->step(chunk[j], offset_ + j, &reports_);
+                if constexpr (kMeasure)
+                    probe_work_ += core_->lastStepWork();
+            }
+            const std::span<const GlobalStateId> enables =
+                dfa.coldEnables(state);
+            if constexpr (kMeasure)
+                probe_work_ += enables.size();
+            for (GlobalStateId s : enables)
+                core_->enableState(s);
+        }
+    };
     if (config_.inputSkip && dfa.anySkippable()) {
         // Quiescence-skip loop with the adaptive profitability gate;
         // the gate counters and the scanning flag persist across
         // chunks, so a long boring stream gives up scanning once, not
-        // once per chunk.
+        // once per chunk. The split skips only while its cold core is
+        // idle (a skippable state enables no cold state), so a skipped
+        // symbol is one that would have measured no work.
         const simd::Ops &ops = simd::ops();
         while (i < n) {
             const simd::ScanMask *m =
-                dfa_scanning_ ? dfa.skipMask(state) : nullptr;
+                dfa_scanning_ && (!kSplit || core_->idle())
+                    ? dfa.skipMask(state)
+                    : nullptr;
             if (m != nullptr && !m->test(chunk[i])) {
                 const size_t skipped =
                     ops.scanForByteMask(chunk.data() + i, n - i, *m);
@@ -216,20 +287,15 @@ EngineSession::feedDfa(std::span<const uint8_t> chunk, size_t i)
                         stats_.skipJumps * kMinBytesPerJump)
                     dfa_scanning_ = false;
             }
-            state = dfa.next(state, chunk[i]);
-            for (GlobalStateId id : dfa.reportsOf(state))
-                reports_.push_back({offset_ + i, id});
+            step(i);
             ++i;
         }
     } else {
-        for (; i < n; ++i) {
-            state = dfa.next(state, chunk[i]);
-            for (GlobalStateId id : dfa.reportsOf(state))
-                reports_.push_back({offset_ + i, id});
-        }
+        for (; i < n; ++i)
+            step(i);
     }
     dfa_state_ = state;
-    stats_.usedDfa = true;
+    (kSplit ? stats_.usedSplit : stats_.usedDfa) = true;
     return n;
 }
 
@@ -262,7 +328,18 @@ EngineSession::feed(std::span<const uint8_t> chunk)
     } else if (phase_ == Phase::Dense) {
         i = feedDense(chunk, i);
     } else if (phase_ == Phase::Dfa) {
-        i = feedDfa(chunk, i);
+        i = feedTable<false, false>(chunk, i);
+    } else if (phase_ == Phase::Split) {
+        // Measured over the stream's first kProbeCycles symbols however
+        // they are chunked; decided once, when the last of them is in.
+        if (offset_ < Engine::kProbeCycles) {
+            const size_t m = static_cast<size_t>(std::min<uint64_t>(
+                n, Engine::kProbeCycles - offset_));
+            i = feedTable<true, true>(chunk.first(m), i);
+            if (offset_ + m == Engine::kProbeCycles)
+                decideSplit();
+        }
+        i = feedTable<true, false>(chunk, i);
     }
 
     offset_ += n;
@@ -292,11 +369,12 @@ EngineSession::suspend() const
     snap.probeWork = probe_work_;
     snap.dfaState = dfa_state_;
     snap.dfaScanning = dfa_scanning_;
-    snap.pendingDfaNomination = pending_dfa_nomination_;
+    snap.pendingNomination = pending_nomination_;
     snap.stats = stats_;
     switch (phase_) {
     case Phase::Sparse:
     case Phase::Probe:
+    case Phase::Split: // plus dfaState, the hot side
         core_->saveState(&snap.sparse);
         break;
     case Phase::Dense:
@@ -318,14 +396,15 @@ EngineSession::resume(const Snapshot &snap)
     probe_work_ = snap.probeWork;
     dfa_state_ = snap.dfaState;
     dfa_scanning_ = snap.dfaScanning;
-    pending_dfa_nomination_ = snap.pendingDfaNomination;
+    pending_nomination_ = snap.pendingNomination;
     stats_ = snap.stats;
     reports_.clear();
     skip_base_symbols_ = 0;
     skip_base_jumps_ = 0;
 
     // An auto stream parked before its first symbol has no state to
-    // carry: it starts over like restart(), on a DFA built since.
+    // carry: it starts over like restart(), on a DFA or split built
+    // since.
     if (config_.mode == EngineMode::Auto && offset_ == 0) {
         startCore(EngineMode::Auto, nullptr);
         return;
@@ -353,6 +432,15 @@ EngineSession::resume(const Snapshot &snap)
                         "resuming a DFA-phase stream requires the "
                         "automaton to determinize under the current "
                         "budgets");
+        break;
+    case Phase::Split:
+        // Likewise through the split's one-shot slot; the cold core
+        // replays its ordered lists.
+        dfa_ = fa_.ensureSplit();
+        SPARSEAP_ASSERT(dfa_ != nullptr,
+                        "resuming a split-phase stream requires the "
+                        "automaton to split under the current budgets");
+        core_->restoreState(config_.alphabet, snap.sparse);
         break;
     }
 }

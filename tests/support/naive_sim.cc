@@ -1,6 +1,7 @@
 #include "support/naive_sim.h"
 
 #include <algorithm>
+#include <deque>
 #include <set>
 
 namespace sparseap::testing {
@@ -66,6 +67,43 @@ naiveHotSet(const Application &app, std::span<const uint8_t> input)
     for (uint32_t u = 0; u < app.nfaCount(); ++u)
         runOne(app.nfa(u), input, app.nfaOffset(u), nullptr, &hot);
     return hot;
+}
+
+std::vector<uint8_t>
+matchingBytes(const Nfa &nfa)
+{
+    std::vector<StateId> parent(nfa.size(), kInvalidState);
+    std::deque<StateId> queue;
+    for (StateId s : nfa.startStates()) {
+        if (nfa.state(s).start == StartKind::AllInput) {
+            parent[s] = s;
+            queue.push_back(s);
+        }
+    }
+    while (!queue.empty()) {
+        const StateId s = queue.front();
+        queue.pop_front();
+        if (nfa.state(s).reporting) {
+            std::vector<uint8_t> bytes;
+            for (StateId t = s;; t = parent[t]) {
+                uint8_t b = 0;
+                while (b < 255 && !nfa.state(t).symbols.test(b))
+                    ++b;
+                bytes.push_back(b);
+                if (parent[t] == t)
+                    break;
+            }
+            std::reverse(bytes.begin(), bytes.end());
+            return bytes;
+        }
+        for (StateId next : nfa.state(s).successors) {
+            if (parent[next] == kInvalidState) {
+                parent[next] = s;
+                queue.push_back(next);
+            }
+        }
+    }
+    return {};
 }
 
 } // namespace sparseap::testing

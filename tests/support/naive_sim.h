@@ -8,6 +8,7 @@
 #ifndef SPARSEAP_TESTS_SUPPORT_NAIVE_SIM_H
 #define SPARSEAP_TESTS_SUPPORT_NAIVE_SIM_H
 
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -23,6 +24,14 @@ ReportList naiveSimulate(const Application &app,
 /** The set of states (global ids) ever enabled during the run. */
 std::vector<bool> naiveHotSet(const Application &app,
                               std::span<const uint8_t> input);
+
+/**
+ * Bytes that drive @p nfa from an all-input start to a report: one byte
+ * of each state's symbol set along a shortest start→reporting path
+ * (BFS). Planted in an input, they make the input report. Empty when no
+ * such path exists.
+ */
+std::vector<uint8_t> matchingBytes(const Nfa &nfa);
 
 } // namespace sparseap::testing
 

@@ -16,7 +16,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <deque>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -25,12 +24,14 @@
 #include "serve/match_service.h"
 #include "sim/engine.h"
 #include "store/format.h"
+#include "support/naive_sim.h"
 #include "telemetry/labels.h"
 #include "telemetry/metrics.h"
 #include "workloads/registry.h"
 
 using namespace sparseap;
 using namespace sparseap::serve;
+using sparseap::testing::matchingBytes;
 
 namespace {
 
@@ -44,48 +45,6 @@ sortedDigest(ReportList reports)
         d.add(r.state);
     }
     return d.digest();
-}
-
-/**
- * Bytes that drive @p nfa from an all-input start to a report: one byte
- * of each state's symbol set along a shortest start→reporting path.
- * Empty when no such path exists.
- */
-std::vector<uint8_t>
-matchingBytes(const Nfa &nfa)
-{
-    std::vector<StateId> parent(nfa.size(), kInvalidState);
-    std::deque<StateId> queue;
-    for (StateId s : nfa.startStates()) {
-        if (nfa.state(s).start == StartKind::AllInput) {
-            parent[s] = s;
-            queue.push_back(s);
-        }
-    }
-    while (!queue.empty()) {
-        const StateId s = queue.front();
-        queue.pop_front();
-        if (nfa.state(s).reporting) {
-            std::vector<uint8_t> bytes;
-            for (StateId t = s;; t = parent[t]) {
-                uint8_t b = 0;
-                while (b < 255 && !nfa.state(t).symbols.test(b))
-                    ++b;
-                bytes.push_back(b);
-                if (parent[t] == t)
-                    break;
-            }
-            std::reverse(bytes.begin(), bytes.end());
-            return bytes;
-        }
-        for (StateId next : nfa.state(s).successors) {
-            if (parent[next] == kInvalidState) {
-                parent[next] = s;
-                queue.push_back(next);
-            }
-        }
-    }
-    return {};
 }
 
 /** feedMany with a single entry: one chunk of one stream. */
@@ -624,4 +583,101 @@ TEST(MatchService, ConcurrentStreamsStayIsolated)
     }
     EXPECT_EQ(service.openStreamCount(), 0u);
     EXPECT_EQ(service.stats().parkedBytes, 0u);
+}
+
+namespace {
+
+/**
+ * An automaton whose split build runs long and bails: a start-of-data
+ * state entering a ring that counts 'x' bytes, whose 2 * kRing
+ * activated sets each discover at most two more (so the BFS expands
+ * nearly the whole 2048-state budget before giving up), plus
+ * never-enabled single-byte states that cut the alphabet into 256
+ * classes and widen every key. All of it is at layer <= 1, so all of
+ * it is hot.
+ */
+std::shared_ptr<FlatAutomaton>
+slowSplitAutomaton()
+{
+    constexpr size_t kRing = 1100; // 2 * kRing > the 2048-state budget
+    constexpr size_t kFiller = 6144;
+    SymbolSet not_x = SymbolSet::all();
+    not_x.reset('x');
+    Nfa nfa("ring");
+    const StateId start =
+        nfa.addState(SymbolSet::all(), StartKind::StartOfData);
+    std::vector<StateId> xs(kRing), ys(kRing);
+    for (size_t i = 0; i < kRing; ++i) {
+        xs[i] = nfa.addState(SymbolSet::single('x'));
+        ys[i] = nfa.addState(not_x);
+    }
+    // At position i, xs[i] moves on ('x') and ys[i] stays.
+    nfa.addEdge(start, xs[0]);
+    nfa.addEdge(start, ys[0]);
+    for (size_t i = 0; i < kRing; ++i) {
+        const size_t next = (i + 1) % kRing;
+        nfa.addEdge(xs[i], xs[next]);
+        nfa.addEdge(xs[i], ys[next]);
+        nfa.addEdge(ys[i], xs[i]);
+        nfa.addEdge(ys[i], ys[i]);
+    }
+    for (size_t i = 0; i < kFiller; ++i)
+        nfa.addState(SymbolSet::single(static_cast<uint8_t>(i)));
+    nfa.finalize();
+    Application app("ring", "ring");
+    app.addNfa(std::move(nfa));
+    return std::make_shared<FlatAutomaton>(app);
+}
+
+} // namespace
+
+/**
+ * A nominated build runs inside a stream's checkout, over the whole
+ * automaton; it must not hold the service lock. While one tenant's
+ * split build is under way, another tenant opens, feeds and closes a
+ * stream, and all of that finishes before the build does.
+ */
+TEST(MatchService, NominatedBuildDoesNotBlockOtherTenants)
+{
+    const std::shared_ptr<FlatAutomaton> slow = slowSplitAutomaton();
+    ASSERT_GE(slow->size(), Engine::kMinDenseStates);
+    Workload w = generateWorkload("Bro217", 7, 5);
+    MatchService service;
+    SessionConfig config;
+    config.mode = EngineMode::Auto;
+    service.addTenant("Slow", slow, config);
+    service.addTenant("Quick", std::make_shared<FlatAutomaton>(w.app),
+                      config);
+    const std::vector<uint8_t> quiet(256, 'a');
+    auto counter = [](const char *name) {
+        return telemetry::snapshot().counters[name];
+    };
+
+    // A stream whose probe declines leaves its pooled session
+    // nominating the split for the next stream it serves.
+    ReportGroup g;
+    ASSERT_EQ(service.open("Slow", 1), OpStatus::Ok);
+    ASSERT_EQ(feedOne(service, "Slow", 1, quiet, &g), OpStatus::Ok);
+    ASSERT_EQ(service.close("Slow", 1, &g), OpStatus::Ok);
+
+    const uint64_t builds = counter("split.builds");
+    const uint64_t bailouts = counter("split.bailouts");
+    ASSERT_EQ(service.open("Slow", 2), OpStatus::Ok);
+    std::thread slow_feed([&] {
+        ReportGroup out;
+        EXPECT_EQ(feedOne(service, "Slow", 2, quiet, &out), OpStatus::Ok);
+    });
+    while (counter("split.builds") == builds)
+        std::this_thread::yield();
+
+    ASSERT_EQ(service.open("Quick", 1), OpStatus::Ok);
+    EXPECT_EQ(feedOne(service, "Quick", 1, quiet, &g), OpStatus::Ok);
+    EXPECT_EQ(service.close("Quick", 1, &g), OpStatus::Ok);
+    EXPECT_EQ(counter("split.bailouts"), bailouts)
+        << "the Quick tenant waited for the Slow tenant's split build";
+
+    slow_feed.join();
+    EXPECT_EQ(counter("split.bailouts"), bailouts + 1);
+    EXPECT_EQ(slow->splitIfBuilt(), nullptr);
+    ASSERT_EQ(service.close("Slow", 2, &g), OpStatus::Ok);
 }

@@ -221,6 +221,7 @@ TEST(ServeObservability, StatsCarryWindowRatesAndTenantSeries)
     // Engine-phase attribution: the cycles went *somewhere*.
     const uint64_t cycles =
         counterValue(reply, "serve.dfa_cycles{tenant=Bro217}") +
+        counterValue(reply, "serve.split_cycles{tenant=Bro217}") +
         counterValue(reply, "serve.dense_cycles{tenant=Bro217}") +
         counterValue(reply, "serve.sparse_cycles{tenant=Bro217}");
     EXPECT_GE(cycles, daemon.input.size());

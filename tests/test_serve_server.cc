@@ -14,6 +14,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdio>
 #include <cstring>
 #include <memory>
 #include <thread>
@@ -29,6 +30,9 @@
 #include "serve/server.h"
 #include "sim/engine.h"
 #include "store/format.h"
+#include "support/naive_sim.h"
+#include "telemetry/labels.h"
+#include "telemetry/metrics.h"
 #include "workloads/registry.h"
 
 using namespace sparseap;
@@ -129,6 +133,8 @@ struct TestDaemon
     std::vector<std::shared_ptr<FlatAutomaton>> automata;
     std::vector<std::string> names;
     std::vector<std::vector<uint8_t>> inputs;
+    /** Per tenant: bytes that match its first pattern (BFS). */
+    std::vector<std::vector<uint8_t>> matches;
     std::unique_ptr<MatchService> service;
     std::unique_ptr<Server> server;
     std::string socketPath;
@@ -143,7 +149,18 @@ struct TestDaemon
             names.push_back(abbr);
             inputs.push_back(
                 synthesizeInput(w.input, input_bytes, rng));
+            matches.push_back(sparseap::testing::matchingBytes(w.app.nfa(0)));
         }
+    }
+
+    /** Plant tenant @p t's match every @p stride bytes of its input. */
+    void
+    plantMatches(size_t t, size_t stride)
+    {
+        for (size_t at = stride / 2; at + matches[t].size() <= inputs[t].size();
+             at += stride)
+            std::copy(matches[t].begin(), matches[t].end(),
+                      inputs[t].begin() + at);
     }
 
     void start(const char *tag, ServerConfig scfg = {},
@@ -159,10 +176,15 @@ struct TestDaemon
         ASSERT_TRUE(server->start(&error)) << error;
     }
 
-    uint64_t wholeInputDigest(size_t tenant) const
+    ReportList wholeInputReports(size_t tenant) const
     {
         Engine engine(*automata[tenant], EngineMode::Auto);
-        return sortedDigest(engine.run(inputs[tenant]).reports);
+        return engine.run(inputs[tenant]).reports;
+    }
+
+    uint64_t wholeInputDigest(size_t tenant) const
+    {
+        return sortedDigest(wholeInputReports(tenant));
     }
 };
 
@@ -279,37 +301,60 @@ TEST(AdmissionQueue, DeadlineKeepsFreshItems)
 
 TEST(ServeServer, EndToEndIdentityAcrossWorkloadsAndWorkers)
 {
-    // The acceptance gate: 4 workloads x 8 concurrent client streams,
-    // socket reports byte-identical (as sorted digests) to whole-input
-    // Engine::run, independent of the worker count.
-    TestDaemon daemon({"Bro217", "Brill", "EM", "LV"});
+    // The acceptance gate: 5 workloads x 10 concurrent client streams,
+    // two rounds, socket reports byte-identical (as sorted digests) to
+    // whole-input Engine::run, independent of the worker count. Every
+    // input carries planted matches of its first pattern (EM's
+    // synthesized input never reports on its own), so no workload
+    // compares empty streams. The second round reuses the first
+    // round's pooled sessions, whose restart materializes the probe's
+    // nominations: Snort's split runs from then on.
+    TestDaemon daemon({"Bro217", "Brill", "EM", "LV", "Snort"});
+    const size_t tenants = daemon.names.size();
+    for (size_t t = 0; t < tenants; ++t) {
+        ASSERT_FALSE(daemon.matches[t].empty()) << daemon.names[t];
+        daemon.plantMatches(t, 4096);
+    }
+    const std::string snort_split =
+        telemetry::labeledName("serve.split_cycles", "Snort");
+    const uint64_t split_before =
+        telemetry::snapshot().counters[snort_split];
     for (const unsigned workers : {1u, 4u}) {
         ServerConfig scfg;
         scfg.workers = workers;
         daemon.start("identity", scfg);
 
-        constexpr size_t kStreams = 8;
-        std::vector<uint64_t> digests(kStreams);
-        std::vector<std::thread> threads;
-        for (size_t s = 0; s < kStreams; ++s) {
-            threads.emplace_back([&, s] {
-                const size_t tenant = s % daemon.names.size();
-                digests[s] = driveStream(
-                    daemon.socketPath, daemon.names[tenant], s + 1,
-                    daemon.inputs[tenant], 900 + 64 * s);
-            });
+        constexpr size_t kStreams = 10;
+        for (size_t round = 0; round < 2; ++round) {
+            std::vector<uint64_t> digests(kStreams);
+            std::vector<std::thread> threads;
+            for (size_t s = 0; s < kStreams; ++s) {
+                threads.emplace_back([&, s] {
+                    const size_t tenant = s % tenants;
+                    digests[s] = driveStream(
+                        daemon.socketPath, daemon.names[tenant],
+                        round * kStreams + s + 1, daemon.inputs[tenant],
+                        900 + 64 * s);
+                });
+            }
+            for (std::thread &t : threads)
+                t.join();
+            for (size_t s = 0; s < kStreams; ++s)
+                EXPECT_EQ(digests[s], daemon.wholeInputDigest(s % tenants))
+                    << "stream " << s << " round " << round << " workers "
+                    << workers;
         }
-        for (std::thread &t : threads)
-            t.join();
-        for (size_t s = 0; s < kStreams; ++s)
-            EXPECT_EQ(digests[s],
-                      daemon.wholeInputDigest(s % daemon.names.size()))
-                << "stream " << s << " workers " << workers;
 
         EXPECT_EQ(daemon.service->openStreamCount(), 0u);
         EXPECT_EQ(daemon.server->admission().stats().shed, 0u);
         daemon.server->stop();
     }
+    for (size_t t = 0; t < tenants; ++t) {
+        const size_t n = daemon.wholeInputReports(t).size();
+        std::printf("%s: %zu reports\n", daemon.names[t].c_str(), n);
+        EXPECT_GT(n, 0u) << daemon.names[t];
+    }
+    EXPECT_GT(telemetry::snapshot().counters[snort_split], split_before);
 }
 
 TEST(ServeServer, MatchAndStatsOverSocket)

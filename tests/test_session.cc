@@ -383,6 +383,9 @@ TEST(Session, ResolvedModeTracksExecution)
         case EngineMode::Dfa:
             EXPECT_TRUE(st.usedDfa);
             break;
+        case EngineMode::Split:
+            EXPECT_TRUE(st.usedSplit);
+            break;
         case EngineMode::Auto:
             ADD_FAILURE() << "resolvedMode may never stay Auto after "
                              "a restart";
@@ -511,10 +514,12 @@ TEST(Session, AutoDfaStreamSuspendResumes)
 }
 
 /**
- * Without a built DFA, auto is unchanged: Bro217 runs sparse, Brill
- * probes and declines, both byte-identical to Engine::run on another
- * DFA-less copy, and neither run determinizes anything. A handover is
- * still the one trigger: it nominates determinization for the next
+ * Without a built DFA or split, auto is unchanged: Bro217 runs sparse,
+ * Brill probes and declines, both byte-identical to Engine::run on
+ * another DFA-less copy, and neither run determinizes anything. The
+ * probe's verdict is the one trigger: Brill's declined probe nominates
+ * the split for the next stream (Bro217 never probes, so it never
+ * nominates), and a handover nominates determinization for the next
  * stream, which then starts on the table.
  */
 TEST(Session, AutoWithoutBuiltDfaProbesAsBefore)
@@ -541,10 +546,15 @@ TEST(Session, AutoWithoutBuiltDfaProbesAsBefore)
         EXPECT_EQ(session.takeReports(), want.reports);
         EXPECT_FALSE(session.stats().handedOver);
         EXPECT_FALSE(session.stats().usedDfa);
+        EXPECT_EQ(fa.splitIfBuilt(), nullptr);
         session.restart();
-        EXPECT_EQ(session.resolvedMode(), EngineMode::Sparse);
+        const bool probed = fa.size() >= Engine::kMinDenseStates;
+        EXPECT_EQ(session.resolvedMode(),
+                  probed ? EngineMode::Split : EngineMode::Sparse);
+        EXPECT_EQ(fa.splitIfBuilt() != nullptr, probed);
         EXPECT_EQ(fa.hotDfaIfBuilt(), nullptr);
         EXPECT_EQ(reference.hotDfaIfBuilt(), nullptr);
+        EXPECT_EQ(reference.splitIfBuilt(), nullptr);
     }
 
     Application app("dense", "D");

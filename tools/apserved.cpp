@@ -156,8 +156,14 @@ main(int argc, char **argv)
     for (const std::string &abbr : splitList(apps_arg)) {
         const LoadedApp &app = runner.load(abbr);
         const FlatAutomaton &fa = app.flat();
-        inform("tenant ", abbr, ": ", fa.size(), " states",
-               fa.ensureHotDfa() ? " (DFA)" : "");
+        // Determinize at load exactly where auto's own nomination
+        // would: larger automata overrun the subset-construction
+        // budget, so the attempt would only cost time and memory.
+        const char *core = " (no DFA: above the auto DFA size cap)";
+        if (fa.size() <= Engine::kMaxAutoDfaStates)
+            core = fa.ensureHotDfa() ? " (DFA)"
+                                     : " (no DFA: budget bailout)";
+        inform("tenant ", abbr, ": ", fa.size(), " states", core);
         service.addTenant(
             abbr,
             std::shared_ptr<const FlatAutomaton>(&fa,

@@ -204,23 +204,25 @@ printFrame(const StatsReply &reply)
         return;
     }
 
-    std::printf("\n%-10s %8s %8s %9s %9s %5s %5s %5s %5s %9s\n",
+    std::printf("\n%-10s %8s %8s %9s %9s %5s %5s %5s %5s %5s %9s\n",
                 "TENANT", "REQ/S", "SHED/S", "MB/S", "FED_MB", "DFA%",
-                "DNS%", "SPR%", "SKIP%", "PARKED_KB");
+                "SPL%", "DNS%", "SPR%", "SKIP%", "PARKED_KB");
     for (const std::string &t : tenants) {
         const uint64_t dfa = tenantCounter(c, "serve.dfa_cycles", t);
+        const uint64_t split =
+            tenantCounter(c, "serve.split_cycles", t);
         const uint64_t dense =
             tenantCounter(c, "serve.dense_cycles", t);
         const uint64_t sparse =
             tenantCounter(c, "serve.sparse_cycles", t);
-        const uint64_t cycles = dfa + dense + sparse;
+        const uint64_t cycles = dfa + split + dense + sparse;
         const uint64_t skipped =
             tenantCounter(c, "serve.skip_symbols", t);
         const double denom =
             cycles == 0 ? 1.0 : static_cast<double>(cycles);
         std::printf(
             "%-10s %8.1f %8.1f %9.2f %9.2f %5.1f %5.1f %5.1f %5.1f "
-            "%9.1f\n",
+            "%5.1f %9.1f\n",
             t.c_str(), tenantRate(w, "serve.requests", t, 0),
             tenantRate(w, "serve.sheds", t, 0),
             tenantRate(w, "serve.fed_bytes", t, 0) / 1e6,
@@ -228,6 +230,7 @@ printFrame(const StatsReply &reply)
                 tenantCounter(c, "serve.fed_bytes", t)) /
                 1e6,
             100.0 * static_cast<double>(dfa) / denom,
+            100.0 * static_cast<double>(split) / denom,
             100.0 * static_cast<double>(dense) / denom,
             100.0 * static_cast<double>(sparse) / denom,
             100.0 * static_cast<double>(skipped) / denom,
