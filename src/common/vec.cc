@@ -49,14 +49,30 @@ andNotIntoScalar(uint64_t *dst, const uint64_t *src, size_t n)
         dst[i] &= ~src[i];
 }
 
-void
-shiftOrIntoScalar(uint64_t *dst, const uint64_t *src, size_t n)
+/**
+ * The bits of @p x that a shift up by @p d in [0, 63] carries into the
+ * next word: x >> (64 - d) for d >= 1, and 0 for d = 0, where the
+ * single shift would be by 64 (undefined behaviour).
+ */
+inline uint64_t
+carryOut(uint64_t x, unsigned d)
 {
-    uint64_t carry = 0;
-    for (size_t i = 0; i < n; ++i) {
-        const uint64_t s = src[i];
-        dst[i] |= (s << 1) | carry;
-        carry = s >> 63;
+    return (x >> 1) >> (63 - d);
+}
+
+void
+multiShiftOrIntoScalar(uint64_t *dst, const uint64_t *src,
+                       const uint64_t *rows, size_t stride,
+                       const uint8_t *shifts, size_t k, size_t n)
+{
+    for (size_t j = 0; j < k; ++j) {
+        const uint64_t *m = rows + j * stride;
+        const unsigned d = shifts[j];
+        uint64_t carry = 0;
+        for (size_t i = 0; i < n; ++i) {
+            dst[i] |= ((src[i] << d) | carry) & m[i];
+            carry = carryOut(src[i], d);
+        }
     }
 }
 
@@ -176,29 +192,64 @@ andNotIntoAvx2(uint64_t *dst, const uint64_t *src, size_t n)
         dst[i] &= ~src[i];
 }
 
-__attribute__((target("avx2"))) void
-shiftOrIntoAvx2(uint64_t *dst, const uint64_t *src, size_t n)
+/**
+ * Scalar multi-shift step of one word i >= 1 — the tails of the vector
+ * bodies. The loop-carried dependency of the scalar tier is replaced by
+ * a reload of word i-1, as in the vector loops.
+ */
+inline void
+multiShiftWord(uint64_t *dst, const uint64_t *src, const uint64_t *rows,
+               size_t stride, const uint8_t *shifts, size_t k, size_t i)
 {
-    if (n == 0)
+    uint64_t acc = dst[i];
+    for (size_t j = 0; j < k; ++j)
+        acc |= ((src[i] << shifts[j]) | carryOut(src[i - 1], shifts[j])) &
+               rows[j * stride + i];
+    dst[i] = acc;
+}
+
+// The vector bodies accumulate every row into one register per vector
+// of dst, with the rows' shift counts broadcast once up front. The
+// cross-word carry is one unaligned reload of src one element back —
+// cheaper than lane-shuffling the previous vector — shared by all rows,
+// and a variable shift by 64 (d = 0) zeroes the lane, so the carry term
+// vanishes without a branch.
+
+__attribute__((target("avx2"))) void
+multiShiftOrIntoAvx2(uint64_t *dst, const uint64_t *src,
+                     const uint64_t *rows, size_t stride,
+                     const uint8_t *shifts, size_t k, size_t n)
+{
+    SPARSEAP_ASSERT(k <= kMaxShiftRows, "too many shift rows: ", k);
+    if (n == 0 || k == 0)
         return;
-    dst[0] |= src[0] << 1;
+    __m256i up[kMaxShiftRows];
+    __m256i down[kMaxShiftRows];
+    for (size_t j = 0; j < k; ++j) {
+        dst[0] |= (src[0] << shifts[j]) & rows[j * stride]; // no carry in
+        up[j] = _mm256_set1_epi64x(shifts[j]);
+        down[j] = _mm256_set1_epi64x(64 - shifts[j]);
+    }
     size_t i = 1;
-    // The cross-word carry is an unaligned reload of src one element
-    // back — cheaper than lane-shuffling the previous vector.
     for (; i + 4 <= n; i += 4) {
         const __m256i cur = _mm256_loadu_si256(
             reinterpret_cast<const __m256i *>(src + i));
         const __m256i prev = _mm256_loadu_si256(
             reinterpret_cast<const __m256i *>(src + i - 1));
-        const __m256i v = _mm256_or_si256(_mm256_slli_epi64(cur, 1),
-                                          _mm256_srli_epi64(prev, 63));
-        const __m256i d = _mm256_loadu_si256(
+        __m256i acc = _mm256_loadu_si256(
             reinterpret_cast<const __m256i *>(dst + i));
-        _mm256_storeu_si256(reinterpret_cast<__m256i *>(dst + i),
-                            _mm256_or_si256(d, v));
+        for (size_t j = 0; j < k; ++j) {
+            const __m256i m = _mm256_loadu_si256(
+                reinterpret_cast<const __m256i *>(rows + j * stride + i));
+            const __m256i moved =
+                _mm256_or_si256(_mm256_sllv_epi64(cur, up[j]),
+                                _mm256_srlv_epi64(prev, down[j]));
+            acc = _mm256_or_si256(acc, _mm256_and_si256(moved, m));
+        }
+        _mm256_storeu_si256(reinterpret_cast<__m256i *>(dst + i), acc);
     }
     for (; i < n; ++i)
-        dst[i] |= (src[i] << 1) | (src[i - 1] >> 63);
+        multiShiftWord(dst, src, rows, stride, shifts, k, i);
 }
 
 __attribute__((target("avx2"))) void
@@ -310,32 +361,55 @@ andNotIntoAvx512(uint64_t *dst, const uint64_t *src, size_t n)
     }
 }
 
-__attribute__((target("avx512f,avx512bw"))) void
-shiftOrIntoAvx512(uint64_t *dst, const uint64_t *src, size_t n)
+/** acc | ((cur << up | prev >> down) & m), the OR into acc as one
+ *  ternary-logic op (truth table 0xF8: a | (b & c)). */
+__attribute__((target("avx512f,avx512bw"))) inline __m512i
+shiftRowInto(__m512i acc, __m512i cur, __m512i prev, __m512i m,
+             __m512i up, __m512i down)
 {
-    if (n == 0)
+    const __m512i moved =
+        _mm512_or_si512(_mm512_maskz_sllv_epi64(kAll8, cur, up),
+                        _mm512_maskz_srlv_epi64(kAll8, prev, down));
+    return _mm512_ternarylogic_epi64(acc, moved, m, 0xF8);
+}
+
+__attribute__((target("avx512f,avx512bw"))) void
+multiShiftOrIntoAvx512(uint64_t *dst, const uint64_t *src,
+                       const uint64_t *rows, size_t stride,
+                       const uint8_t *shifts, size_t k, size_t n)
+{
+    SPARSEAP_ASSERT(k <= kMaxShiftRows, "too many shift rows: ", k);
+    if (n == 0 || k == 0)
         return;
-    dst[0] |= src[0] << 1;
+    __m512i up[kMaxShiftRows];
+    __m512i down[kMaxShiftRows];
+    for (size_t j = 0; j < k; ++j) {
+        dst[0] |= (src[0] << shifts[j]) & rows[j * stride]; // no carry in
+        up[j] = _mm512_set1_epi64(shifts[j]);
+        down[j] = _mm512_set1_epi64(64 - shifts[j]);
+    }
     size_t i = 1;
     for (; i + 8 <= n; i += 8) {
         const __m512i cur = _mm512_loadu_si512(src + i);
         const __m512i prev = _mm512_loadu_si512(src + i - 1);
-        const __m512i v =
-            _mm512_or_si512(_mm512_maskz_slli_epi64(kAll8, cur, 1),
-                            _mm512_maskz_srli_epi64(kAll8, prev, 63));
-        const __m512i d = _mm512_loadu_si512(dst + i);
-        _mm512_storeu_si512(dst + i, _mm512_or_si512(d, v));
+        __m512i acc = _mm512_loadu_si512(dst + i);
+        for (size_t j = 0; j < k; ++j)
+            acc = shiftRowInto(acc, cur, prev,
+                               _mm512_loadu_si512(rows + j * stride + i),
+                               up[j], down[j]);
+        _mm512_storeu_si512(dst + i, acc);
     }
     if (i < n) {
-        const __mmask8 m =
-            static_cast<__mmask8>((1u << (n - i)) - 1u);
-        const __m512i cur = _mm512_maskz_loadu_epi64(m, src + i);
-        const __m512i prev = _mm512_maskz_loadu_epi64(m, src + i - 1);
-        const __m512i v =
-            _mm512_or_si512(_mm512_maskz_slli_epi64(kAll8, cur, 1),
-                            _mm512_maskz_srli_epi64(kAll8, prev, 63));
-        const __m512i d = _mm512_maskz_loadu_epi64(m, dst + i);
-        _mm512_mask_storeu_epi64(dst + i, m, _mm512_or_si512(d, v));
+        const __mmask8 t = static_cast<__mmask8>((1u << (n - i)) - 1u);
+        const __m512i cur = _mm512_maskz_loadu_epi64(t, src + i);
+        const __m512i prev = _mm512_maskz_loadu_epi64(t, src + i - 1);
+        __m512i acc = _mm512_maskz_loadu_epi64(t, dst + i);
+        for (size_t j = 0; j < k; ++j)
+            acc = shiftRowInto(
+                acc, cur, prev,
+                _mm512_maskz_loadu_epi64(t, rows + j * stride + i), up[j],
+                down[j]);
+        _mm512_mask_storeu_epi64(dst + i, t, acc);
     }
 }
 
@@ -480,25 +554,25 @@ popcountAvx512(const uint64_t *src, size_t n)
 
 constexpr Ops kScalarOps{bitAndScalar,       orIntoScalar,
                          clearScalar,        andNotIntoScalar,
-                         shiftOrIntoScalar,  nonzeroWordsScalar,
+                         multiShiftOrIntoScalar, nonzeroWordsScalar,
                          popcountScalar,     scanForByteMaskScalar,
                          Isa::Scalar};
 
 #if SPARSEAP_VEC_X86
 constexpr Ops kAvx2Ops{bitAndAvx2,       orIntoAvx2,
                        clearAvx2,        andNotIntoAvx2,
-                       shiftOrIntoAvx2,  nonzeroWordsAvx2,
+                       multiShiftOrIntoAvx2, nonzeroWordsAvx2,
                        popcountScalar,   scanForByteMaskAvx2,
                        Isa::Avx2};
 // Two AVX-512 tables: VPOPCNTDQ is a separate feature bit from BW.
 constexpr Ops kAvx512Ops{bitAndAvx512,       orIntoAvx512,
                          clearAvx512,        andNotIntoAvx512,
-                         shiftOrIntoAvx512,  nonzeroWordsAvx512,
+                         multiShiftOrIntoAvx512, nonzeroWordsAvx512,
                          popcountScalar,     scanForByteMaskAvx512,
                          Isa::Avx512};
 constexpr Ops kAvx512PopcntOps{bitAndAvx512,       orIntoAvx512,
                                clearAvx512,        andNotIntoAvx512,
-                               shiftOrIntoAvx512,  nonzeroWordsAvx512,
+                               multiShiftOrIntoAvx512, nonzeroWordsAvx512,
                                popcountAvx512,     scanForByteMaskAvx512,
                                Isa::Avx512};
 #endif

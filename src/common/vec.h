@@ -90,6 +90,9 @@ struct ScanMask
     unsigned population() const;
 };
 
+/** Most mask rows one Ops::multiShiftOrInto call takes. */
+constexpr size_t kMaxShiftRows = 8;
+
 /**
  * Element-wise kernels over uint64_t arrays. All lengths are in words;
  * dst may equal a or b (in-place) but must not otherwise overlap.
@@ -106,13 +109,23 @@ struct Ops
     /** dst[i] &= ~src[i]. */
     void (*andNotInto)(uint64_t *dst, const uint64_t *src, size_t n);
     /**
-     * dst[i] |= (src[i] << 1) | (src[i-1] >> 63), with src[-1] = 0:
-     * OR in src shifted left by one *bit position* across word
-     * boundaries — the cross-word bit-parallel successor step for
-     * chain states (see DenseView::chain). The carry out of src[n-1]
-     * is dropped; dst must not overlap src.
+     * Multi-shift propagation over @p k <= kMaxShiftRows (mask row,
+     * offset) pairs: row j is M_j = rows[j * stride .. j * stride + n)
+     * with offset d_j = shifts[j] in [0, 63], and
+     *
+     *   dst[i] |= OR_j ((src[i] << d_j) | (src[i-1] >> (64 - d_j)))
+     *                  & M_j[i]
+     *
+     * with the second term absent for i = 0 and for d_j = 0: src moves
+     * d_j bit positions up across word boundaries and row j selects the
+     * bits it may set, all rows in one pass over dst — the dense core's
+     * successor step for the states on shift rows (see
+     * DenseView::shiftRows). Carries out of src[n-1] are dropped; dst
+     * must not overlap src or rows.
      */
-    void (*shiftOrInto)(uint64_t *dst, const uint64_t *src, size_t n);
+    void (*multiShiftOrInto)(uint64_t *dst, const uint64_t *src,
+                             const uint64_t *rows, size_t stride,
+                             const uint8_t *shifts, size_t k, size_t n);
     /**
      * Summary build: bit i of dst set iff src[i] != 0, for i in
      * [0, n). Writes all ceil(n/64) words of dst — an overwrite with

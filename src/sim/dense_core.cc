@@ -26,14 +26,15 @@ DenseCore::DenseCore(const FlatAutomaton &fa)
       has_latchable_(std::any_of(dv_.latchable.begin(),
                                  dv_.latchable.end(),
                                  [](uint64_t w) { return w != 0; })),
-      has_chain_(std::any_of(dv_.chain.begin(), dv_.chain.end(),
-                             [](uint64_t w) { return w != 0; })),
       enabled_(words_, 0), enabled_sum_(sum_words_, 0),
       enabled_sum2_(sum2_words_, 0), next_(words_, 0),
       next_sum_(sum_words_, 0), next_sum2_(sum2_words_, 0),
-      active_(words_, 0), scratch_(words_, 0), perm_(words_, 0),
-      perm_next_(words_, 0), perm_next_sum_(sum_words_, 0)
+      active_(words_, 0), scratch_(words_, 0), per_bit_(words_, 0),
+      work_sum_(sum_words_, 0), perm_(words_, 0), perm_next_(words_, 0),
+      perm_next_sum_(sum_words_, 0)
 {
+    for (size_t w = 0; w < words_; ++w)
+        per_bit_[w] = dv_.reporting[w] | dv_.fanout[w];
     if (globalOptions().inputSkip) {
         static_scan_ = simd::ScanMask::fromBits(dv_.staticScan.data());
         static_scan_ok_ =
@@ -367,6 +368,9 @@ DenseCore::stepSkip(const uint64_t *accept, uint32_t sk, uint32_t s_end,
     const uint64_t *mask = dv_.succWordMask.data();
     const uint32_t *s_idx = dv_.startWordIdx.data();
     const uint64_t *s_mask = dv_.startWordMask.data();
+    const uint8_t *shifts = dv_.shifts.data();
+    const uint64_t *rows = dv_.shiftRows.data();
+    const size_t nshifts = dv_.shifts.size();
 
     clearNext();
 
@@ -394,22 +398,28 @@ DenseCore::stepSkip(const uint64_t *accept, uint32_t sk, uint32_t s_end,
                 hits &= hits - 1;
             }
         }
-        // Chain states (successor exactly {s+1}) propagate with one
-        // word-local shift; bit 63 carries into w+1, which is in range
-        // whenever it is a chain bit (see DenseView::chain).
-        const uint64_t ch = act & dv_.chain[w];
-        if (ch != 0) {
-            const uint64_t lo = ch << 1;
-            if (lo != 0) {
-                next[w] |= lo;
-                markWord(next_sum, next_sum2, w);
-            }
-            if (ch >> 63) {
-                next[w + 1] |= 1;
-                markWord(next_sum, next_sum2, w + 1);
-            }
-            act &= ~ch;
+        // States on shift rows propagate with word-local shifts masked
+        // by the rows (see DenseView::shiftRows); the bits a shift
+        // carries out of word w land in w+1.
+        uint64_t here = 0;
+        uint64_t carry = 0;
+        const bool last = w + 1 == words_;
+        for (size_t k = 0; k < nshifts; ++k) {
+            const uint64_t *row = rows + k * dv_.stride;
+            const unsigned d = shifts[k];
+            here |= (act << d) & row[w];
+            if (!last) // act >> (64 - d), and 0 at d = 0
+                carry |= ((act >> 1) >> (63 - d)) & row[w + 1];
         }
+        if (here != 0) {
+            next[w] |= here;
+            markWord(next_sum, next_sum2, w);
+        }
+        if (carry != 0) {
+            next[w + 1] |= carry;
+            markWord(next_sum, next_sum2, w + 1);
+        }
+        act &= dv_.fanout[w];
         while (act != 0) {
             const unsigned b =
                 static_cast<unsigned>(__builtin_ctzll(act));
@@ -522,7 +532,7 @@ DenseCore::stepFlat(const uint64_t *accept, uint8_t cls, uint32_t sk,
     const uint64_t *mask = dv_.succWordMask.data();
     const uint32_t *s_idx = dv_.startWordIdx.data();
     const uint64_t *s_mask = dv_.startWordMask.data();
-    const uint64_t *chain = dv_.chain.data();
+    const uint64_t *fanout = dv_.fanout.data();
 
     uint64_t *next = next_.data();
     ops_->clear(next, words_);
@@ -535,15 +545,13 @@ DenseCore::stepFlat(const uint64_t *accept, uint8_t cls, uint32_t sk,
     for (uint32_t k = sk; k < s_end; ++k)
         act[s_idx[k]] |= s_mask[k];
 
-    // Chain states — the ~90% whose successor is exactly {s+1} — all
-    // propagate at once: one cross-word shift-and-OR of the chain slice
-    // of the activation vector. Only the fan-out remainder walks the
-    // CSR per bit below.
-    if (has_chain_) {
-        uint64_t *ch = scratch_.data();
-        ops_->bitAnd(ch, act, chain, words_);
-        ops_->shiftOrInto(next, ch, words_);
-    }
+    // Every state on a shift row propagates at once: one fused pass of
+    // masked cross-word shifts of the activation vector. Only the
+    // fan-out states walk the CSR per bit below.
+    if (!dv_.shifts.empty())
+        ops_->multiShiftOrInto(next, act, dv_.shiftRows.data(), dv_.stride,
+                               dv_.shifts.data(), dv_.shifts.size(),
+                               words_);
 
     // Matching non-reporting starts: a vector OR of the materialized
     // row when this class's pooled contribution is dense, the sparse
@@ -562,28 +570,38 @@ DenseCore::stepFlat(const uint64_t *accept, uint8_t cls, uint32_t sk,
                     dv_.startSuccWordMask[k];
     }
 
-    for (size_t w = 0; w < words_; ++w) {
-        uint64_t a = act[w];
-        if (a == 0)
-            continue;
-        if (reports) {
-            uint64_t hits = a & dv_.reporting[w];
-            while (hits != 0) {
-                const unsigned b =
-                    static_cast<unsigned>(__builtin_ctzll(hits));
-                reports->push_back(
-                    {position, static_cast<GlobalStateId>(w * 64 + b)});
-                hits &= hits - 1;
+    // Per-bit work is left only for reporting and fan-out states: two
+    // vector sweeps name the words that hold such activations, and the
+    // loop visits only those, in ascending order so that reports come
+    // out in state order.
+    uint64_t *work = scratch_.data();
+    ops_->bitAnd(work, act, per_bit_.data(), words_);
+    ops_->nonzeroWords(work_sum_.data(), work, words_);
+    for (size_t sw = 0; sw < sum_words_; ++sw) {
+        uint64_t live = work_sum_[sw];
+        while (live != 0) {
+            const size_t w =
+                sw * 64 + static_cast<unsigned>(__builtin_ctzll(live));
+            live &= live - 1;
+            if (reports) {
+                uint64_t hits = work[w] & dv_.reporting[w];
+                while (hits != 0) {
+                    const unsigned b =
+                        static_cast<unsigned>(__builtin_ctzll(hits));
+                    reports->push_back(
+                        {position, static_cast<GlobalStateId>(w * 64 + b)});
+                    hits &= hits - 1;
+                }
             }
-        }
-        a &= ~chain[w];
-        while (a != 0) {
-            const unsigned b =
-                static_cast<unsigned>(__builtin_ctzll(a));
-            const auto s = static_cast<GlobalStateId>(w * 64 + b);
-            for (uint32_t k = begin[s]; k < begin[s + 1]; ++k)
-                next[idx[k]] |= mask[k];
-            a &= a - 1;
+            uint64_t a = work[w] & fanout[w];
+            while (a != 0) {
+                const unsigned b =
+                    static_cast<unsigned>(__builtin_ctzll(a));
+                const auto s = static_cast<GlobalStateId>(w * 64 + b);
+                for (uint32_t k = begin[s]; k < begin[s + 1]; ++k)
+                    next[idx[k]] |= mask[k];
+                a &= a - 1;
+            }
         }
     }
 

@@ -8,8 +8,9 @@
  *
  *   active  = enabled & acceptRow(symbol)  |  starts matching symbol
  *   reports = active & reportingMask             (emit set bits)
- *   next    = OR of successor rows of active     (ctz over set bits,
- *             CSR word-at-a-time)
+ *   next    = OR of successor rows of active     (masked word shifts
+ *             for the states on shift rows, ctz over the fan-out bits
+ *             and the CSR word-at-a-time for the rest)
  *
  * Three structures keep those sweeps on the live part of the automaton:
  *
@@ -219,7 +220,6 @@ class DenseCore
     size_t sum2_words_; ///< level-2 summary words: ceil(sum_words_ / 64)
     bool has_starts_;   ///< automaton has always-enabled starts
     bool has_latchable_; ///< automaton has latchable states (see DenseView)
-    bool has_chain_;     ///< automaton has chain states (see DenseView)
     bool has_perm_ = false; ///< some state has been latched this run
     StepStats stats_;
 
@@ -230,7 +230,10 @@ class DenseCore
     WordVector next_sum_;
     WordVector next_sum2_;
     WordVector active_; ///< flat-path scratch: activations per word
-    WordVector scratch_; ///< flat-path scratch: chain slice / fresh latches
+    WordVector scratch_; ///< flat-path scratch: per-bit work / fresh latches
+    /** Reporting | fan-out states: the flat path's per-bit work set. */
+    WordVector per_bit_;
+    WordVector work_sum_; ///< flat-path scratch: words with per-bit work
 
     /**
      * The dense analogue of the sparse core's latched/permanent

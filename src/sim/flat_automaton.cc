@@ -15,9 +15,75 @@ namespace sparseap {
 namespace {
 
 /**
- * Compute the DenseView's derived fields — the chain mask, the dense
- * start-dispatch rows and the quiescent scan set (see their field
- * docs) — from the already-installed CSR spans. Called by both
+ * Derive the shift rows and the fan-out row (see their field docs):
+ * rank the offsets d = t - s in [0, 63] of every successor bit t of
+ * every state s by how many bits they carry, keep up to kMaxShifts of
+ * those carrying at least one bit per vector word, and put every state
+ * with a bit on no kept offset in the fan-out row.
+ */
+void
+computeShiftRows(FlatAutomaton::DenseView &dv)
+{
+    using DenseView = FlatAutomaton::DenseView;
+    constexpr size_t kOffsets = 64;
+    auto &own = dv.owned;
+    const size_t n = dv.succBegin.size() - 1;
+
+    // Calls visit(s, d) for every successor bit, with d = kOffsets for
+    // a bit outside [s, s + 63] (a back edge or a far jump).
+    auto forEachEdge = [&](auto &&visit) {
+        for (GlobalStateId s = 0; s < n; ++s) {
+            for (uint32_t k = dv.succBegin[s]; k < dv.succBegin[s + 1];
+                 ++k) {
+                const uint64_t base = uint64_t{dv.succWordIdx[k]} * 64;
+                uint64_t bits = dv.succWordMask[k];
+                while (bits != 0) {
+                    const uint64_t t =
+                        base + static_cast<unsigned>(__builtin_ctzll(bits));
+                    bits &= bits - 1;
+                    visit(s, t >= s && t - s < kOffsets ? t - s : kOffsets);
+                }
+            }
+        }
+    };
+
+    std::array<uint64_t, kOffsets + 1> cover{};
+    forEachEdge([&](GlobalStateId, size_t d) { ++cover[d]; });
+    std::array<uint8_t, kOffsets> ranked;
+    for (size_t d = 0; d < kOffsets; ++d)
+        ranked[d] = static_cast<uint8_t>(d);
+    std::stable_sort(ranked.begin(), ranked.end(),
+                     [&](uint8_t a, uint8_t b) { return cover[a] > cover[b]; });
+    own.shifts.clear();
+    for (uint8_t d : ranked) {
+        if (own.shifts.size() == DenseView::kMaxShifts || cover[d] == 0 ||
+            cover[d] < dv.words)
+            break;
+        own.shifts.push_back(d);
+    }
+
+    constexpr size_t kNoRow = DenseView::kMaxShifts;
+    std::array<size_t, kOffsets + 1> row_of;
+    row_of.fill(kNoRow);
+    for (size_t k = 0; k < own.shifts.size(); ++k)
+        row_of[own.shifts[k]] = k;
+    own.shiftRows.assign(own.shifts.size() * dv.stride, 0);
+    own.fanout.assign(dv.words, 0);
+    forEachEdge([&](GlobalStateId s, size_t d) {
+        if (row_of[d] == kNoRow)
+            setWordBit(own.fanout.data(), s);
+        else
+            setWordBit(own.shiftRows.data() + row_of[d] * dv.stride, s + d);
+    });
+    dv.shifts = own.shifts;
+    dv.shiftRows = own.shiftRows;
+    dv.fanout = own.fanout;
+}
+
+/**
+ * Compute the DenseView's derived fields — the shift and fan-out rows,
+ * the dense start-dispatch rows and the quiescent scan set (see their
+ * field docs) — from the already-installed CSR spans. Called by both
  * construction paths (flatten and store-decode); the results live in
  * the view itself and are never serialized.
  */
@@ -25,19 +91,7 @@ void
 computeDerivedArrays(FlatAutomaton::DenseView &dv)
 {
     auto &own = dv.owned;
-    const size_t n = dv.succBegin.size() - 1;
-
-    own.chain.assign(dv.words, 0);
-    for (GlobalStateId s = 0; s + 1 < n; ++s) {
-        const uint32_t b = dv.succBegin[s];
-        if (dv.succBegin[s + 1] != b + 1)
-            continue;
-        const GlobalStateId t = s + 1;
-        if (dv.succWordIdx[b] == (t >> 6) &&
-            dv.succWordMask[b] == (1ull << (t & 63)))
-            setWordBit(own.chain.data(), s);
-    }
-    dv.chain = own.chain;
+    computeShiftRows(dv);
 
     own.startNextRow.assign(dv.classes, 0);
     uint32_t rows = 0;

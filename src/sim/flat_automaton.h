@@ -34,6 +34,7 @@
 #include <span>
 #include <vector>
 
+#include "common/vec.h"
 #include "common/word_vector.h"
 #include "nfa/application.h"
 
@@ -203,19 +204,36 @@ class FlatAutomaton
          *  held here because the dense core reads it every symbol. */
         std::array<uint8_t, 256> classOf{};
 
+        /** Most shift rows a view derives (see shiftRows): as many as
+         *  one simd::Ops::multiShiftOrInto call takes. */
+        static constexpr size_t kMaxShifts = simd::kMaxShiftRows;
+
         /**
-         * Chain states, one row (derived from the successor CSR at
-         * view construction, never stored): bit s set iff state s's
-         * successor contribution is exactly bit s+1. Glushkov position
-         * automata built from literal-heavy rule sets are ~90% such
-         * states, so the dense core propagates them all at once with a
-         * single cross-word left-shift-and-OR of the activation vector
-         * (simd::Ops::shiftOrInto) and walks the CSR only for the
-         * remaining fan-out states. A chain state's bit 63 never sits
-         * in the last word: s+1 would be out of range, so the state
-         * could not have it as its successor.
+         * Shift rows (derived from the successor CSR at view
+         * construction, never stored): shifts.size() <= kMaxShifts
+         * offsets d_k in [0, 63] and, per offset, one row of
+         * shiftRows (row k at k * stride) with bit s + d_k set iff
+         * s + d_k is a successor of s in the word CSR — that is, not
+         * an always-enabled start. The rows are indexed by target, so
+         * the dense core shifts the activation vector up by d_k and
+         * masks it with row k (simd::Ops::multiShiftOrInto), moving
+         * every state on the row at once instead of walking the CSR per
+         * active bit. The offsets are the ones that carry the most
+         * successor bits, each kept only when it carries at least one
+         * bit per vector word. Grid automata (Hamming, Fermi, SPM) put
+         * all their edges on 5-8 constant offsets and literal-heavy
+         * rule sets ~90% of theirs on d = 1.
          */
-        std::span<const uint64_t> chain;
+        std::span<const uint8_t> shifts;
+        std::span<const uint64_t> shiftRows; ///< shifts.size() x stride
+
+        /**
+         * Fan-out states, one row (derived, never stored): bit s set
+         * iff some successor bit of s lies on no shift row. The dense
+         * core walks the CSR for these — all of their successors, since
+         * re-ORing bits a shift already set is harmless.
+         */
+        std::span<const uint64_t> fanout;
 
         /**
          * Dense start-dispatch rows (derived, never stored): classes
@@ -296,10 +314,13 @@ class FlatAutomaton
             std::vector<uint32_t> startSuccBegin;
             std::vector<uint32_t> startSuccWordIdx;
             WordVector startSuccWordMask;
-            /** Derived arrays (chain / startNext*) are owned in BOTH
-             *  construction paths — they are computed from the CSR at
-             *  view-install time, never read from a store mapping. */
-            WordVector chain;
+            /** Derived arrays (shift rows / fanout / startNext*) are
+             *  owned in BOTH construction paths — they are computed
+             *  from the CSR at view-install time, never read from a
+             *  store mapping. */
+            std::vector<uint8_t> shifts;
+            WordVector shiftRows;
+            WordVector fanout;
             std::vector<uint32_t> startNextRow;
             WordVector startNextRows;
         };

@@ -1,6 +1,7 @@
 #include "spap/executor.h"
 
 #include <algorithm>
+#include <span>
 
 #include "common/logging.h"
 #include "common/thread_pool.h"
@@ -230,6 +231,45 @@ batchAutomaton(PreparedPartition::ColdPlan &plan, const Application &cold,
     return *plan.batchFas[bi];
 }
 
+/**
+ * Sort @p reports, the concatenation of segments that end at the
+ * entries of @p ends and are each in nondecreasing position order (the
+ * hot run's final reports, then each cold batch's): sort each run of
+ * equal positions by state, skipping runs already in order, then merge
+ * the segments pairwise — instead of sorting the whole list anew.
+ */
+void
+sortReportSegments(ReportList &reports, std::span<const size_t> ends)
+{
+    const auto at = [&](size_t i) {
+        return reports.begin() + static_cast<std::ptrdiff_t>(i);
+    };
+    size_t begin = 0;
+    for (size_t end : ends) {
+        for (size_t i = begin; i < end;) {
+            size_t j = i + 1;
+            while (j < end && reports[j].position == reports[i].position)
+                ++j;
+            SPARSEAP_ASSERT(j == end ||
+                                reports[j].position > reports[i].position,
+                            "report segment out of position order");
+            if (!std::is_sorted(at(i), at(j)))
+                std::sort(at(i), at(j));
+            i = j;
+        }
+        begin = end;
+    }
+    const size_t k = ends.size();
+    for (size_t width = 1; width < k; width *= 2) {
+        for (size_t g = 0; g + width < k; g += 2 * width) {
+            const size_t lo = g == 0 ? 0 : ends[g - 1];
+            const size_t mid = ends[g + width - 1];
+            const size_t hi = ends[std::min(g + 2 * width, k) - 1];
+            std::inplace_merge(at(lo), at(mid), at(hi));
+        }
+    }
+}
+
 } // namespace
 
 std::vector<uint32_t>
@@ -290,6 +330,7 @@ runBaseApSpap(const AppTopology &topo, const ExecutionOptions &opts,
         }
     }
     stats.intermediateReports = events.size();
+    std::vector<size_t> segment_ends = {final_reports.size()};
 
     // ----- SpAP mode: execute the predicted cold set. -----
     if (part.cold.nfaCount() > 0) {
@@ -386,6 +427,7 @@ runBaseApSpap(const AppTopology &topo, const ExecutionOptions &opts,
             stats.skippedSymbols += out.skippedSymbols;
             final_reports.insert(final_reports.end(),
                                  out.reports.begin(), out.reports.end());
+            segment_ends.push_back(final_reports.size());
         }
 
         if (stats.spApBatches > 0 && test.size() > 0) {
@@ -404,7 +446,7 @@ runBaseApSpap(const AppTopology &topo, const ExecutionOptions &opts,
                                     static_cast<double>(ours);
 
     if (collect_reports) {
-        std::sort(final_reports.begin(), final_reports.end());
+        sortReportSegments(final_reports, segment_ends);
         stats.reports = std::move(final_reports);
     }
     recordSpapRun(stats);

@@ -74,11 +74,15 @@ matchingBytes(const Nfa &nfa)
 {
     std::vector<StateId> parent(nfa.size(), kInvalidState);
     std::deque<StateId> queue;
-    for (StateId s : nfa.startStates()) {
-        if (nfa.state(s).start == StartKind::AllInput) {
-            parent[s] = s;
-            queue.push_back(s);
+    for (StartKind kind : {StartKind::AllInput, StartKind::StartOfData}) {
+        for (StateId s : nfa.startStates()) {
+            if (nfa.state(s).start == kind) {
+                parent[s] = s;
+                queue.push_back(s);
+            }
         }
+        if (!queue.empty())
+            break; // start-of-data starts only for an anchored NFA
     }
     while (!queue.empty()) {
         const StateId s = queue.front();

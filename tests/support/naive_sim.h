@@ -28,8 +28,10 @@ std::vector<bool> naiveHotSet(const Application &app,
 /**
  * Bytes that drive @p nfa from an all-input start to a report: one byte
  * of each state's symbol set along a shortest start→reporting path
- * (BFS). Planted in an input, they make the input report. Empty when no
- * such path exists.
+ * (BFS). Planted in an input, they make the input report. An NFA with
+ * no all-input start is searched from its start-of-data starts
+ * instead; plant those bytes at offset 0. Empty when no such path
+ * exists.
  */
 std::vector<uint8_t> matchingBytes(const Nfa &nfa);
 

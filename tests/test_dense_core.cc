@@ -8,10 +8,14 @@
  */
 
 #include <algorithm>
+#include <cstdio>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "common/word_vector.h"
 #include "regex/glushkov.h"
 #include "sim/engine.h"
 #include "support/naive_sim.h"
@@ -121,26 +125,117 @@ TEST(DenseCore, AutoStaysSparseOnSparseLiveSet)
     EXPECT_FALSE(aut.run(input).usedDenseCore);
 }
 
-/** Dense == sparse on every registered workload (small scale/input). */
+/**
+ * Dense == sparse on every registered workload (small scale/input). The
+ * synthesized bytes alone leave grids such as HM and LV silent, so the
+ * first NFA's matching bytes are planted (at offset 0 when that NFA is
+ * anchored) and every workload must report.
+ */
 TEST(DenseCore, PropertyMatchesSparseOnAllRegisteredWorkloads)
 {
     Rng input_rng(20180620);
     for (const auto &entry : appCatalog()) {
         // 5% scale keeps generation fast while covering every generator.
         Workload w = generateWorkload(entry.abbr, 7, 5);
-        size_t bytes = 1536;
+        const Nfa &first = w.app.nfa(0);
+        const std::vector<uint8_t> match = testing::matchingBytes(first);
+        ASSERT_FALSE(match.empty()) << entry.abbr;
+        // Room for two plants of CAV4k's long signatures.
+        size_t bytes = std::max<size_t>(1536, 2 * match.size() + 300);
         if (w.inputBytesCap > 0)
             bytes = std::min(bytes, w.inputBytesCap);
-        const std::vector<uint8_t> input =
+        std::vector<uint8_t> input =
             synthesizeInput(w.input, bytes, input_rng);
+
+        const auto starts = first.startStates();
+        const bool anchored =
+            std::none_of(starts.begin(), starts.end(), [&](StateId s) {
+                return first.state(s).start == StartKind::AllInput;
+            });
+        for (size_t at : anchored ? std::vector<size_t>{0}
+                                  : std::vector<size_t>{100, bytes / 2}) {
+            ASSERT_LE(at + match.size(), input.size()) << entry.abbr;
+            std::copy(match.begin(), match.end(), input.begin() + at);
+        }
 
         FlatAutomaton fa(w.app);
         Engine sparse(fa, EngineMode::Sparse);
         Engine dense(fa, EngineMode::Dense);
         Engine aut(fa, EngineMode::Auto);
         const ReportList want = sortedReports(sparse, input);
+        std::printf("%s: %zu reports\n", entry.abbr.c_str(), want.size());
+        EXPECT_GT(want.size(), 0u) << entry.abbr;
         EXPECT_EQ(sortedReports(dense, input), want) << entry.abbr;
         EXPECT_EQ(sortedReports(aut, input), want) << entry.abbr;
+    }
+}
+
+/**
+ * The shift rows plus the CSR of the fan-out states reproduce every
+ * state's successor set exactly, on every registered workload: a state
+ * off the fan-out row has exactly its shift-row successors, and a
+ * fan-out state's shift-row successors are a subset of its CSR. The
+ * grid automata keep at least 99% of their edges on shift rows.
+ */
+TEST(DenseView, ShiftRowsReproduceEverySuccessorSet)
+{
+    using DenseView = FlatAutomaton::DenseView;
+    const std::vector<std::string> grids = {"HM", "HM500", "Fermi", "SPM"};
+    for (const auto &entry : appCatalog()) {
+        Workload w = generateWorkload(entry.abbr, 7, 5);
+        FlatAutomaton fa(w.app);
+        const DenseView &dv = fa.denseView();
+        ASSERT_LE(dv.shifts.size(), DenseView::kMaxShifts) << entry.abbr;
+        ASSERT_EQ(dv.shiftRows.size(), dv.shifts.size() * dv.stride);
+        ASSERT_EQ(dv.fanout.size(), dv.words);
+
+        uint64_t edges = 0;
+        uint64_t on_rows = 0;
+        size_t fanout_states = 0;
+        std::vector<GlobalStateId> csr;
+        std::vector<GlobalStateId> shifted;
+        for (GlobalStateId s = 0; s < fa.size(); ++s) {
+            csr.clear();
+            for (uint32_t k = dv.succBegin[s]; k < dv.succBegin[s + 1]; ++k)
+                forEachSetBit(std::span(&dv.succWordMask[k], 1),
+                              [&](size_t b) {
+                                  csr.push_back(static_cast<GlobalStateId>(
+                                      dv.succWordIdx[k] * 64 + b));
+                              });
+            shifted.clear();
+            for (size_t r = 0; r < dv.shifts.size(); ++r) {
+                const GlobalStateId t = s + dv.shifts[r];
+                if (t < fa.size() &&
+                    testWordBit(dv.shiftRows.data() + r * dv.stride, t))
+                    shifted.push_back(t);
+            }
+            std::sort(csr.begin(), csr.end());
+            std::sort(shifted.begin(), shifted.end());
+            edges += csr.size();
+            on_rows += shifted.size();
+
+            const bool fan = testWordBit(dv.fanout.data(), s);
+            fanout_states += fan;
+            ASSERT_TRUE(std::includes(csr.begin(), csr.end(),
+                                      shifted.begin(), shifted.end()))
+                << entry.abbr << " state " << s;
+            ASSERT_EQ(fan, shifted != csr) << entry.abbr << " state " << s;
+        }
+
+        std::string offsets;
+        for (uint8_t d : dv.shifts)
+            offsets += " " + std::to_string(d);
+        const double coverage =
+            edges == 0 ? 1.0 : static_cast<double>(on_rows) / edges;
+        std::printf("%s: %zu states, offsets {%s }, %.1f%% of %llu edges "
+                    "on shift rows, %zu fan-out states\n",
+                    entry.abbr.c_str(), fa.size(), offsets.c_str(),
+                    100.0 * coverage, static_cast<unsigned long long>(edges),
+                    fanout_states);
+        if (std::find(grids.begin(), grids.end(), entry.abbr) !=
+            grids.end()) {
+            EXPECT_GE(coverage, 0.99) << entry.abbr;
+        }
     }
 }
 

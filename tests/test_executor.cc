@@ -6,9 +6,11 @@
 
 #include "common/rng.h"
 #include "regex/glushkov.h"
+#include "sim/engine.h"
 #include "spap/executor.h"
 #include "support/naive_sim.h"
 #include "support/random_nfa.h"
+#include "workloads/registry.h"
 
 namespace sparseap {
 namespace {
@@ -190,6 +192,58 @@ TEST(Executor, PropertyExecutionEquivalence)
         EXPECT_GE(stats.baselineBatches, stats.baseApBatches);
         if (stats.spApBatches == 0) {
             EXPECT_EQ(stats.spApCycles, 0u);
+        }
+    }
+}
+
+/**
+ * runBaseApSpap sorts its merged reports run by run within each
+ * segment (the hot list, then each cold batch's) and merges the
+ * segments. The result must equal the fully sorted reports of a
+ * whole-app run: on Fermi, whose one hot segment holds many reports per
+ * position, and on HM1500, whose planted matches past the profile
+ * prefix report from several cold batches.
+ */
+TEST(Executor, MergedReportsEqualFullySortedList)
+{
+    for (const char *abbr : {"Fermi", "HM1500"}) {
+        SCOPED_TRACE(abbr);
+        Workload w = generateWorkload(abbr, 7, 5);
+        Rng rng(20181020);
+        size_t len = 16 * 1024;
+        if (w.inputBytesCap > 0)
+            len = std::min(len, w.inputBytesCap);
+        std::vector<uint8_t> input = synthesizeInput(w.input, len, rng);
+        if (!w.fullInputAsTest) {
+            // Matches of the first NFAs in the second half: their deep
+            // states stay cold in the profile and report from SpAP.
+            size_t at = len / 2;
+            for (uint32_t ni = 0; ni < w.app.nfaCount() && ni < 40; ++ni) {
+                const std::vector<uint8_t> m =
+                    testing::matchingBytes(w.app.nfa(ni));
+                if (m.empty() || at + m.size() > len)
+                    continue;
+                std::copy(m.begin(), m.end(), input.begin() + at);
+                at += m.size() + 7;
+            }
+        }
+
+        AppTopology topo(w.app);
+        ExecutionOptions opts;
+        opts.fullInputAsTest = w.fullInputAsTest;
+        opts.ap.capacity = w.app.totalStates() / 16 + 8;
+        PreparedPartition prep = preparePartition(topo, opts, input);
+        const SpapRunStats stats = runBaseApSpap(topo, opts, prep, true);
+
+        FlatAutomaton fa(w.app);
+        ReportList want = Engine(fa).run(prep.testInput).reports;
+        std::sort(want.begin(), want.end());
+        EXPECT_GT(want.size(), 0u);
+        EXPECT_EQ(stats.reports, want);
+        std::printf("%s: %zu reports, %zu SpAP batches\n", abbr,
+                    want.size(), stats.spApBatches);
+        if (std::string(abbr) == "HM1500") {
+            EXPECT_GT(stats.spApBatches, 1u);
         }
     }
 }

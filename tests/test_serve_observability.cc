@@ -28,6 +28,7 @@
 #include "serve/protocol.h"
 #include "serve/server.h"
 #include "telemetry/event_log.h"
+#include "telemetry/metrics.h"
 #include "telemetry/request_trace.h"
 #include "workloads/registry.h"
 
@@ -60,6 +61,15 @@ counterValue(const StatsReply &reply, const std::string &name)
             return value;
     }
     return 0;
+}
+
+/** serve.request_micros samples recorded in this process so far. */
+uint64_t
+recordedRequests()
+{
+    const telemetry::Snapshot snap = telemetry::snapshot();
+    const auto it = snap.histograms.find("serve.request_micros");
+    return it == snap.histograms.end() ? 0 : it->second.count;
 }
 
 const StatsWindowRow *
@@ -200,11 +210,18 @@ TEST(ServeObservability, StatsCarryWindowRatesAndTenantSeries)
     scfg.observability.samplePeriodMillis = 0;
     daemon.start("stats", scfg);
 
+    const uint64_t recorded_before = recordedRequests();
     driveOneFeed(&daemon);
     daemon.server->sampleNow();
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
     driveOneFeed(&daemon);
     daemon.server->sampleNow();
+    // A worker records a request's latency after it writes the reply,
+    // so the last Close may not be counted yet: wait (up to 5 s) until
+    // all six requests are, before STATS reads the count.
+    for (int i = 0; i < 5000 && recordedRequests() < recorded_before + 6;
+         ++i)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
 
     ServeClient client;
     std::string error;

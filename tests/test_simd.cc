@@ -15,6 +15,7 @@
 
 #include "common/rng.h"
 #include "common/vec.h"
+#include "common/word_vector.h"
 #include "sim/dense_core.h"
 #include "sim/engine.h"
 #include "support/random_nfa.h"
@@ -48,6 +49,29 @@ randomWords(Rng &rng, size_t n)
     for (uint64_t &w : v)
         w = rng.uniform(0, ~uint64_t{0});
     return v;
+}
+
+/** Shift offsets the multi-shift op is checked at. */
+constexpr uint8_t kShiftOffsets[] = {0, 1, 31, 63};
+
+/**
+ * Bit-by-bit reference for simd::Ops::multiShiftOrInto: each bit s of
+ * src sets bit t = s + shifts[j] of dst when t lies within the n words
+ * and row j has bit t set.
+ */
+void
+multiShiftReference(uint64_t *dst, const uint64_t *src,
+                    const uint64_t *rows, size_t stride,
+                    const std::vector<uint8_t> &shifts, size_t n)
+{
+    for (size_t j = 0; j < shifts.size(); ++j) {
+        for (size_t s = 0; s < n * 64; ++s) {
+            const size_t t = s + shifts[j];
+            if (t < n * 64 && testWordBit(src, s) &&
+                testWordBit(rows + j * stride, t))
+                dst[t / 64] |= uint64_t{1} << (t % 64);
+        }
+    }
 }
 
 /** Every supported tier vs the scalar reference, op by op. */
@@ -101,14 +125,25 @@ TEST(Simd, OpsMatchScalarOnAllSupportedTiers)
                     EXPECT_EQ(an[off + i], a[off + i] & ~b[off + i])
                         << simd::isaName(isa) << " n=" << n;
 
-                std::vector<uint64_t> sh = a;
-                o.shiftOrInto(sh.data() + off, b.data() + off, n);
-                for (size_t i = 0; i < n; ++i) {
-                    const uint64_t carry =
-                        i == 0 ? 0 : b[off + i - 1] >> 63;
-                    EXPECT_EQ(sh[off + i],
-                              a[off + i] | (b[off + i] << 1) | carry)
-                        << simd::isaName(isa) << " n=" << n;
+                // Multi-shift: 0-8 rows spaced wider than n, offsets
+                // cycling through both ends and the middle of [0, 63].
+                for (size_t k = 0; k <= 8; ++k) {
+                    const size_t stride = n + 5;
+                    const std::vector<uint64_t> rows =
+                        randomWords(rng, k * stride + off);
+                    std::vector<uint8_t> shifts(k);
+                    for (size_t j = 0; j < k; ++j)
+                        shifts[j] = kShiftOffsets[(j + n) % 4];
+                    std::vector<uint64_t> got = a;
+                    o.multiShiftOrInto(got.data() + off, b.data() + off,
+                                       rows.data() + off, stride,
+                                       shifts.data(), k, n);
+                    std::vector<uint64_t> want = a;
+                    multiShiftReference(want.data() + off, b.data() + off,
+                                        rows.data() + off, stride, shifts,
+                                        n);
+                    EXPECT_EQ(got, want) << simd::isaName(isa) << " n=" << n
+                                         << " rows=" << k;
                 }
 
                 if (n > 0) {

@@ -19,11 +19,13 @@ TEST(ThreadPool, SubmitRunsTasks)
     std::mutex m;
     std::condition_variable cv;
     for (int i = 0; i < 10; ++i) {
+        // Count and notify under the mutex: the waiter can return (and
+        // destroy m and cv) as soon as it sees 10, so no task may touch
+        // them after the count it publishes.
         pool.submit([&] {
-            if (count.fetch_add(1) + 1 == 10) {
-                std::lock_guard<std::mutex> lock(m);
+            std::lock_guard<std::mutex> lock(m);
+            if (count.fetch_add(1) + 1 == 10)
                 cv.notify_all();
-            }
         });
     }
     std::unique_lock<std::mutex> lock(m);
