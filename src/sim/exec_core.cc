@@ -6,6 +6,17 @@
 
 namespace sparseap {
 
+namespace {
+
+/** @p set folded to 64 bits: bit b & 63 for every byte b it holds. */
+uint64_t
+fold64(const Bitset256 &set)
+{
+    return set.words[0] | set.words[1] | set.words[2] | set.words[3];
+}
+
+} // namespace
+
 ExecCore::ExecCore(const FlatAutomaton &fa)
     : fa_(fa), self_loop_(fa.size(), 0), status_(fa.size(), Status::Normal),
       mark_(fa.size(), 0)
@@ -89,9 +100,15 @@ ExecCore::makePermanent(GlobalStateId s)
         latched_pending_.push_back(s);
     } else {
         status_[s] = Status::Permanent;
+        uint64_t fold = ~uint64_t{0};
+        if (!fa_.reporting(s)) {
+            fold = 0;
+            for (GlobalStateId t : fa_.successors(s))
+                fold |= latches(t) ? ~uint64_t{0} : fold64(fa_.symbols(t));
+        }
         const Bitset256 accepted = input_alphabet_ & fa_.symbols(s);
         forEachSetBit(std::span<const uint64_t>(accepted.words),
-                      [&](size_t b) { perm_table_[b].push_back(s); });
+                      [&](size_t b) { perm_table_[b].push_back({s, fold}); });
     }
 }
 
@@ -147,7 +164,7 @@ ExecCore::enableState(GlobalStateId s)
         return; // already permanently enabled
     if (profiler_)
         profiler_->markEnabled(s);
-    if (universal(s) && hasSelfLoop(s)) {
+    if (latches(s)) {
         // Enabled now, activates on every symbol, re-enables itself:
         // permanently enabled from this cycle on.
         makePermanent(s);
@@ -159,10 +176,15 @@ ExecCore::enableState(GlobalStateId s)
     }
 }
 
+template <bool kLookahead>
 void
-ExecCore::enableForNext(GlobalStateId t)
+ExecCore::enableForNext(GlobalStateId t, uint8_t next)
 {
     if (status_[t] != Status::Normal)
+        return;
+    // Dropped when it can neither activate on the next byte nor latch,
+    // and then without a mark (see the file comment).
+    if (kLookahead && !fa_.symbols(t).test(next) && !latches(t))
         return;
     const uint32_t next_epoch = epoch_ + 1;
     if (mark_[t] != next_epoch) {
@@ -170,21 +192,22 @@ ExecCore::enableForNext(GlobalStateId t)
         next_enabled_.push_back(t);
         if (profiler_)
             profiler_->markEnabled(t);
-        if (universal(t) && hasSelfLoop(t)) {
+        if (latches(t)) {
             // Will latch at the start of the next cycle.
             pending_permanent_.push_back(t);
         }
     }
 }
 
+template <bool kLookahead>
 void
 ExecCore::activate(GlobalStateId s, uint64_t position,
-                   ReportList *reports)
+                   ReportList *reports, uint8_t next)
 {
     if (fa_.reporting(s) && reports)
         reports->push_back({position, s});
     for (GlobalStateId t : fa_.successors(s))
-        enableForNext(t);
+        enableForNext<kLookahead>(t, next);
 }
 
 void
@@ -214,7 +237,20 @@ ExecCore::flushPending()
 }
 
 void
-ExecCore::step(uint8_t symbol, uint64_t position, ReportList *reports)
+ExecCore::step(uint8_t symbol, uint64_t position, ReportList *reports,
+               int next)
+{
+    if (next == kNoLookahead || profiler_)
+        stepWith<false>(symbol, position, reports, 0);
+    else
+        stepWith<true>(symbol, position, reports,
+                       static_cast<uint8_t>(next));
+}
+
+template <bool kLookahead>
+void
+ExecCore::stepWith(uint8_t symbol, uint64_t position, ReportList *reports,
+                   uint8_t next)
 {
     expandLatched();
 
@@ -227,13 +263,18 @@ ExecCore::step(uint8_t symbol, uint64_t position, ReportList *reports)
     next_enabled_.clear();
     last_step_work_ = perm_table_[symbol].size() + enabled_.size();
 
-    for (GlobalStateId s : perm_table_[symbol])
-        activate(s, position, reports);
+    for (const Dispatch &d : perm_table_[symbol]) {
+        // A non-reporting entry none of whose successors can take the
+        // next byte or latch would enqueue nothing.
+        if (kLookahead && ((d.successorFold >> (next & 63)) & 1) == 0)
+            continue;
+        activate<kLookahead>(d.state, position, reports, next);
+    }
 
     for (GlobalStateId s : enabled_) {
         // A state may have become permanent while queued.
         if (status_[s] == Status::Normal && fa_.symbols(s).test(symbol))
-            activate(s, position, reports);
+            activate<kLookahead>(s, position, reports, next);
     }
 
     enabled_.swap(next_enabled_);

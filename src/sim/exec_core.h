@@ -19,6 +19,36 @@
  * Dotstar `.*` positions) from O(live gap states) to O(actual matches),
  * without changing a single report. Property tests pit this core against
  * an independent naive simulator.
+ *
+ * Next-symbol lookahead. On the paper's fabric an enabled STE that does
+ * not match costs nothing; here each costs a list entry and a cache
+ * miss. A caller that knows the byte after the current one passes it to
+ * step(), which then enqueues only the successors that byte can
+ * activate, plus any that latch (a latching state is universal, so it
+ * accepts the byte anyway; the filter tests the one-byte self-loop flag
+ * before the 32-byte universality check). Each permanent-dispatch entry
+ * carries a 64-bit fold of its successors' symbol sets (bit b & 63), so
+ * an activated post-gap literal none of whose successors can take the
+ * next byte costs one word test and never touches the successor CSR.
+ * A filtered state leaves no trace: no epoch mark, no list entry. A
+ * caller that skips step() while the core is idle (the split) does not
+ * advance the epoch, and a stale mark would silently drop a later
+ * enableState() of the same state. The states dropped are exactly those
+ * that would not activate on the next symbol, so the surviving enabled
+ * list is a subsequence of the unfiltered one: activations, their order
+ * and the reports are unchanged.
+ *
+ * Invariant: lists built by a filtered step are incomplete, so
+ * snapshotEnabled() and saveState() may only see lists built by
+ * unfiltered steps. EngineSession steps the last symbol of every chunk
+ * (where it suspends) and the whole probe window (where it hands over)
+ * without lookahead, so handover, suspend and resume stay exact.
+ * Measured work stays unfiltered for the same reason: the probe and the
+ * split's measurement window weigh lastStepWork() against the dense
+ * core's cost. SpAP mode (runSpapMode) steps without lookahead because
+ * its idle()/jump decisions are simulated statistics of the fabric, and
+ * a run with a HotStateProfiler attached ignores the lookahead because
+ * a profile records every *enabled* state, filtered or not.
  */
 
 #ifndef SPARSEAP_SIM_EXEC_CORE_H
@@ -39,6 +69,9 @@ class HotStateProfiler;
 class ExecCore
 {
   public:
+    /** step()'s @p next when the caller does not know the next byte. */
+    static constexpr int kNoLookahead = -1;
+
     explicit ExecCore(const FlatAutomaton &fa);
 
     /**
@@ -74,8 +107,14 @@ class ExecCore
      * @param symbol the byte at this position
      * @param position global stream position (for report records)
      * @param reports destination for reports emitted this cycle
+     * @param next the byte at position + 1 when the caller knows it:
+     *        only the successors it can activate (or that latch) are
+     *        enqueued. The enabled list is then incomplete until the next
+     *        step (see the file comment); ignored while a profiler is
+     *        attached.
      */
-    void step(uint8_t symbol, uint64_t position, ReportList *reports);
+    void step(uint8_t symbol, uint64_t position, ReportList *reports,
+              int next = kNoLookahead);
 
     /** Compute the set of distinct bytes in @p input. */
     static Bitset256 distinctBytes(std::span<const uint8_t> input);
@@ -140,9 +179,24 @@ class ExecCore
         Latched,   ///< permanently enabled and universal
     };
 
-    void activate(GlobalStateId s, uint64_t position,
-                  ReportList *reports);
-    void enableForNext(GlobalStateId t);
+    /** One permanent-dispatch entry: the state and the 64-bit fold
+     *  (bit b & 63) of its successors' symbol sets; all ones for a
+     *  reporting state, which must activate to report, and for one
+     *  with a latching successor. */
+    struct Dispatch
+    {
+        GlobalStateId state;
+        uint64_t successorFold;
+    };
+
+    template <bool kLookahead>
+    void stepWith(uint8_t symbol, uint64_t position, ReportList *reports,
+                  uint8_t next);
+    template <bool kLookahead>
+    void activate(GlobalStateId s, uint64_t position, ReportList *reports,
+                  uint8_t next);
+    template <bool kLookahead>
+    void enableForNext(GlobalStateId t, uint8_t next);
     void makePermanent(GlobalStateId s);
     bool universal(GlobalStateId s) const;
 
@@ -150,6 +204,14 @@ class ExecCore
     hasSelfLoop(GlobalStateId s) const
     {
         return self_loop_[s] != 0;
+    }
+
+    /** Universal with a self-loop: permanent from its first enable.
+     *  The one-byte flag goes first; universal() loads 32 bytes. */
+    bool
+    latches(GlobalStateId s) const
+    {
+        return hasSelfLoop(s) && universal(s);
     }
 
     void expandLatched();
@@ -170,7 +232,7 @@ class ExecCore
     std::vector<GlobalStateId> next_enabled_; ///< scratch
 
     /** Permanent non-universal states accepting each symbol. */
-    std::array<std::vector<GlobalStateId>, 256> perm_table_;
+    std::array<std::vector<Dispatch>, 256> perm_table_;
     size_t permanent_count_ = 0;
     /** Every permanently-enabled state (Permanent or Latched), in the
      *  order it was promoted — so snapshotEnabled doesn't scan all N

@@ -240,16 +240,20 @@ EngineSession::feedTable(std::span<const uint8_t> chunk, size_t i)
     // One symbol: the table step and its reports, then — split only —
     // the cold core's step (a no-op while idle, so skipped) and the new
     // DFA state's hot→cold enables for the next symbol, both counted
-    // as probe work while kMeasure. Hot reports precede cold ones within
-    // a position. Forced inline: an outlined call keeps `state` in
-    // memory and costs the DFA loop ~10%.
+    // as probe work while kMeasure. Past the measurement window the
+    // cold step takes the next byte as lookahead, except at the chunk's
+    // end, where the stream may suspend. Hot reports precede cold ones
+    // within a position. Forced inline: an outlined call keeps `state`
+    // in memory and costs the DFA loop ~10%.
     auto step = [&](size_t j) __attribute__((always_inline)) {
         state = dfa.next(state, chunk[j]);
         for (GlobalStateId id : dfa.reportsOf(state))
             reports_.push_back({offset_ + j, id});
         if constexpr (kSplit) {
             if (!core_->idle()) {
-                core_->step(chunk[j], offset_ + j, &reports_);
+                core_->step(chunk[j], offset_ + j, &reports_,
+                            !kMeasure && j + 1 < n ? chunk[j + 1]
+                                                   : ExecCore::kNoLookahead);
                 if constexpr (kMeasure)
                     probe_work_ += core_->lastStepWork();
             }
@@ -323,7 +327,11 @@ EngineSession::feed(std::span<const uint8_t> chunk)
     }
 
     if (phase_ == Phase::Sparse || phase_ == Phase::Probe) {
-        for (; i < n; ++i)
+        // Committed: every symbol but the chunk's last (where the stream
+        // may suspend) steps with the next byte as lookahead.
+        for (; i + 1 < n; ++i)
+            core_->step(chunk[i], offset_ + i, &reports_, chunk[i + 1]);
+        if (i < n)
             core_->step(chunk[i], offset_ + i, &reports_);
     } else if (phase_ == Phase::Dense) {
         i = feedDense(chunk, i);

@@ -49,7 +49,11 @@
  * plus its cold core's ordered lists — so a stream can be parked,
  * migrated to another EngineSession (or another process: the BFS
  * numbering of both DFAs is deterministic) and continued
- * byte-identically.
+ * byte-identically. The sparse core steps with the next byte as
+ * lookahead only where feed() knows it and nothing measures or
+ * snapshots the result: never in the probe window or the split's
+ * measurement window, and never on a chunk's last symbol, so every
+ * snapshot and handover sees complete lists (sim/exec_core.h).
  *
  * Many streams share one automaton through MatchService::feedMany: the
  * streams of one request that run on the DFA table advance together via

@@ -118,6 +118,66 @@ TEST(Engine, MultiNfaGlobalIds)
  * Property: the engine matches the naive independent simulator on random
  * automata and random inputs — the core substrate-correctness check.
  */
+/**
+ * ReportList buffers from ReportAllocator::kMappedBytes up are mapped
+ * rather than taken from the heap. Lists that grow, copy, move, shrink
+ * and compare across that boundary keep every value.
+ */
+TEST(Engine, ReportListsKeepValuesAcrossTheMappedBoundary)
+{
+    const size_t boundary =
+        ReportAllocator<Report>::kMappedBytes / sizeof(Report);
+    auto value = [](size_t i) {
+        return Report{i * 7 + 1, static_cast<GlobalStateId>(i ^ 0x5a5a)};
+    };
+    auto holdsValues = [&](const ReportList &list, size_t n) {
+        if (list.size() != n)
+            return false;
+        for (size_t i = 0; i < n; ++i)
+            if (!(list[i] == value(i)))
+                return false;
+        return true;
+    };
+
+    // Grow one report at a time from the heap into mapped buffers.
+    ReportList grown;
+    for (size_t i = 0; i < 3 * boundary; ++i)
+        grown.push_back(value(i));
+    EXPECT_TRUE(holdsValues(grown, 3 * boundary));
+    EXPECT_GE(grown.capacity() * sizeof(Report),
+              ReportAllocator<Report>::kMappedBytes);
+
+    // Copies on both sides of the boundary, and equality across them.
+    const ReportList small(grown.begin(), grown.begin() + boundary / 2);
+    EXPECT_TRUE(holdsValues(small, boundary / 2));
+    ReportList copy = grown;
+    EXPECT_EQ(copy, grown);
+    EXPECT_NE(copy, small);
+    copy.resize(boundary / 2);
+    copy.shrink_to_fit();
+    EXPECT_EQ(copy, small);
+
+    // Moves hand the mapped buffer over; the source is left empty.
+    const Report *buffer = grown.data();
+    ReportList moved = std::move(grown);
+    EXPECT_EQ(moved.data(), buffer);
+    EXPECT_TRUE(holdsValues(moved, 3 * boundary));
+    ReportList assigned;
+    assigned = std::move(moved);
+    EXPECT_TRUE(holdsValues(assigned, 3 * boundary));
+
+    // Copy-assign a mapped list over a heap one and back.
+    copy = assigned;
+    EXPECT_TRUE(holdsValues(copy, 3 * boundary));
+    copy = small;
+    EXPECT_TRUE(holdsValues(copy, boundary / 2));
+    ReportList reserved;
+    reserved.reserve(boundary);
+    reserved.insert(reserved.end(), assigned.begin(),
+                    assigned.begin() + boundary);
+    EXPECT_TRUE(holdsValues(reserved, boundary));
+}
+
 TEST(Engine, PropertyMatchesNaiveSimulator)
 {
     Rng rng(88);

@@ -152,6 +152,41 @@ TEST(ExecCore, ProfilerSeesLatchedSuccessors)
     EXPECT_TRUE(prof.hot(1));
 }
 
+/**
+ * A state the lookahead filters leaves no trace. A split-style core
+ * (no starts, driven by enableState) steps 'a' with lookahead 'x': the
+ * successor t, which accepts only 'b', is dropped, and the core is idle
+ * at the 'x', so the caller skips that step and the epoch does not
+ * advance. Enabled again before the 'b', t must fire; a mark left by
+ * the filter would make that enable a no-op.
+ */
+TEST(ExecCore, LookaheadFilteredStateLeavesNoTrace)
+{
+    Application app("t", "T");
+    Nfa nfa("g");
+    StateId a = nfa.addState(SymbolSet::single('a'), StartKind::None);
+    StateId t = nfa.addState(SymbolSet::single('b'), StartKind::None,
+                             true);
+    nfa.addEdge(a, t);
+    nfa.finalize(false);
+    app.addNfa(std::move(nfa));
+    FlatAutomaton fa(app);
+
+    ExecCore core(fa);
+    core.reset(ExecCore::distinctBytes(bytes("axb")), nullptr, false);
+    ReportList reports;
+    core.enableState(a);
+    core.step('a', 0, &reports, 'x');
+    EXPECT_TRUE(core.idle()); // t cannot take the 'x': not enqueued
+    // Position 1 ('x') is skipped while idle; t is enabled for 2.
+    core.enableState(t);
+    EXPECT_FALSE(core.idle());
+    core.step('b', 2, &reports);
+    ASSERT_EQ(reports.size(), 1u);
+    EXPECT_EQ(reports[0].position, 2u);
+    EXPECT_EQ(reports[0].state, t);
+}
+
 /** Property: heavy-wildcard random NFAs still match the naive oracle. */
 TEST(ExecCore, PropertyWildcardHeavyMatchesNaive)
 {

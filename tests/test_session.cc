@@ -19,6 +19,7 @@
 #include "sim/engine.h"
 #include "sim/exec_core.h"
 #include "sim/session.h"
+#include "support/naive_sim.h"
 #include "support/random_nfa.h"
 #include "workloads/registry.h"
 
@@ -300,7 +301,12 @@ TEST(Session, ResumedStreamReportsSixtyFourBitPositions)
     }
 }
 
-/** Random automata, random chunk partitions: chunked == whole. */
+/**
+ * Random automata, random chunk partitions: chunked == whole, and the
+ * sorted reports equal the naive simulator's (Engine::run takes the
+ * same next-symbol lookahead as the chunked run, so it is no oracle for
+ * it).
+ */
 TEST(Session, RandomizedChunkBoundaryDifferential)
 {
     Rng rng(20260813);
@@ -350,7 +356,57 @@ TEST(Session, RandomizedChunkBoundaryDifferential)
         got.insert(got.end(), part.begin(), part.end());
         EXPECT_EQ(got, want.reports) << "trial " << trial << " mode "
                                      << engineModeName(mode);
+        std::sort(got.begin(), got.end());
+        EXPECT_EQ(got, testing::naiveSimulate(app, input))
+            << "trial " << trial << " mode " << engineModeName(mode);
     }
+}
+
+/**
+ * The probe measures unfiltered steps: on every registered workload, an
+ * auto session fed the first kProbeCycles symbols in 7-byte chunks and
+ * suspended there carries the work of a raw ExecCore stepped over the
+ * same symbols without lookahead. A lookahead step enqueues fewer
+ * states, so a probe that took it would measure less and could decline
+ * a handover. Automata below the probe's size floor never probe.
+ */
+TEST(Session, ProbeWorkIsMeasuredWithoutLookahead)
+{
+    Rng input_rng(20181020);
+    size_t probed = 0;
+    for (const auto &entry : appCatalog()) {
+        SCOPED_TRACE(entry.abbr);
+        Workload w = generateWorkload(entry.abbr, 7, 5);
+        const std::vector<uint8_t> input =
+            synthesizeInput(w.input, Engine::kProbeCycles, input_rng);
+        ASSERT_EQ(input.size(), Engine::kProbeCycles);
+        FlatAutomaton fa(w.app);
+        const SessionConfig config =
+            engineParityConfig(EngineMode::Auto, false, input);
+
+        EngineSession session(fa, config);
+        session.restart();
+        for (size_t i = 0; i < input.size(); i += 7)
+            session.feed(std::span(input).subspan(
+                i, std::min<size_t>(7, input.size() - i)));
+        EXPECT_EQ(session.resolvedMode(), EngineMode::Sparse);
+        const EngineSession::Snapshot snap = session.suspend();
+
+        uint64_t want = 0;
+        if (fa.size() >= Engine::kMinDenseStates) {
+            ExecCore core(fa);
+            core.reset(config.alphabet, nullptr, /*install_starts=*/true);
+            ReportList reports;
+            for (size_t i = 0; i < input.size(); ++i) {
+                core.step(input[i], i, &reports);
+                want += core.lastStepWork();
+            }
+            EXPECT_GT(want, 0u);
+            ++probed;
+        }
+        EXPECT_EQ(snap.probeWork, want);
+    }
+    EXPECT_GT(probed, 0u);
 }
 
 /** resolvedMode() reports the core actually running. */
