@@ -30,7 +30,6 @@
 #include "graph/topology.h"
 #include "nfa/application.h"
 #include "nfa/nfa.h"
-#include "nfa/optimize.h"
 #include "nfa/serialize.h"
 #include "nfa/symbol_set.h"
 #include "partition/app_topology.h"
@@ -42,6 +41,7 @@
 #include "regex/parser.h"
 #include "sim/engine.h"
 #include "sim/flat_automaton.h"
+#include "sim/prefix_merge.h"
 #include "sim/profiler.h"
 #include "sim/report.h"
 #include "spap/ap_cpu.h"

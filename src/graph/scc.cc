@@ -32,10 +32,23 @@ findSccs(const Nfa &nfa)
 SccResult
 findSccs(size_t n, const SuccessorsFn &successors)
 {
+    SccResult result;
+    result.count = labelSccs(n, successors, &result.component);
+    // Members in ascending state order, one list per SCC.
+    result.members.resize(result.count);
+    for (StateId s = 0; s < n; ++s)
+        result.members[result.component[s]].push_back(s);
+    return result;
+}
+
+uint32_t
+labelSccs(size_t n, const SuccessorsFn &successors,
+          std::vector<uint32_t> *component)
+{
     constexpr uint32_t kUnvisited = ~0u;
 
-    SccResult result;
-    result.component.assign(n, kUnvisited);
+    component->assign(n, kUnvisited);
+    uint32_t count = 0;
 
     std::vector<uint32_t> index(n, kUnvisited);
     std::vector<uint32_t> lowlink(n, 0);
@@ -76,19 +89,15 @@ findSccs(size_t n, const SuccessorsFn &successors)
             }
             // All children done: maybe emit an SCC, then propagate lowlink.
             if (lowlink[fr.v] == index[fr.v]) {
-                std::vector<StateId> members;
                 while (true) {
                     StateId w = stack.back();
                     stack.pop_back();
                     on_stack[w] = false;
-                    result.component[w] = result.count;
-                    members.push_back(w);
+                    (*component)[w] = count;
                     if (w == fr.v)
                         break;
                 }
-                std::sort(members.begin(), members.end());
-                result.members.push_back(std::move(members));
-                ++result.count;
+                ++count;
             }
             StateId v = fr.v;
             dfs.pop_back();
@@ -98,33 +107,7 @@ findSccs(size_t n, const SuccessorsFn &successors)
             }
         }
     }
-    return result;
-}
-
-Condensation
-condense(const Nfa &nfa, const SccResult &scc)
-{
-    return condense(nfa.size(), nfaSuccessors(nfa), scc);
-}
-
-Condensation
-condense(size_t n, const SuccessorsFn &successors, const SccResult &scc)
-{
-    Condensation c;
-    c.adj.resize(scc.count);
-    for (StateId u = 0; u < n; ++u) {
-        uint32_t cu = scc.component[u];
-        for (StateId v : successors(u)) {
-            uint32_t cv = scc.component[v];
-            if (cu != cv)
-                c.adj[cu].push_back(cv);
-        }
-    }
-    for (auto &a : c.adj) {
-        std::sort(a.begin(), a.end());
-        a.erase(std::unique(a.begin(), a.end()), a.end());
-    }
-    return c;
+    return count;
 }
 
 } // namespace sparseap

@@ -48,22 +48,20 @@ using SuccessorsFn = std::function<std::span<const StateId>(StateId)>;
  */
 SccResult findSccs(size_t n, const SuccessorsFn &successors);
 
+/**
+ * findSccs without the member lists: only @p component (resized to n)
+ * is filled, numbered as findSccs numbers it. Tarjan emits an SCC after
+ * every SCC reachable from it, so an edge between two components always
+ * leads to the lower id, and descending ids are a topological order of
+ * the condensation.
+ *
+ * @return the number of SCCs
+ */
+uint32_t labelSccs(size_t n, const SuccessorsFn &successors,
+                   std::vector<uint32_t> *component);
+
 /** findSccs over an NFA's own successor lists. */
 SccResult findSccs(const Nfa &nfa);
-
-/** Condensation DAG: one node per SCC, deduplicated edges. */
-struct Condensation
-{
-    /** adj[c] = sorted unique successor SCCs of SCC c (no self-edges). */
-    std::vector<std::vector<uint32_t>> adj;
-};
-
-/** Build the condensation DAG from a graph and its SCC labelling. */
-Condensation condense(size_t n, const SuccessorsFn &successors,
-                      const SccResult &scc);
-
-/** condense over an NFA's own successor lists. */
-Condensation condense(const Nfa &nfa, const SccResult &scc);
 
 /** The accessor for an NFA's successor lists. */
 SuccessorsFn nfaSuccessors(const Nfa &nfa);

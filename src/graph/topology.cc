@@ -23,41 +23,50 @@ std::vector<uint32_t>
 topologicalLayers(size_t n, const SuccessorsFn &successors,
                   SccResult *scc_out)
 {
-    SccResult scc = findSccs(n, successors);
-    const Condensation cond = condense(n, successors, scc);
-    const uint32_t nc = scc.count;
+    // Flat arrays only: component ids, then the states grouped by
+    // component as a CSR (a counting sort), so layering a flattened
+    // rule set allocates a few n-sized vectors however many SCCs it
+    // has, not a member list and an adjacency list per SCC.
+    std::vector<uint32_t> component;
+    const uint32_t nc = labelSccs(n, successors, &component);
+    std::vector<uint32_t> begin(nc + 1, 0);
+    for (StateId s = 0; s < n; ++s)
+        ++begin[component[s]];
+    for (uint32_t c = 1; c < nc; ++c)
+        begin[c] += begin[c - 1]; // the end of component c's range
+    begin[nc] = static_cast<uint32_t>(n);
+    std::vector<StateId> members(n);
+    for (StateId s = static_cast<StateId>(n); s-- > 0;)
+        members[--begin[component[s]]] = s; // ascending within each
 
-    // Longest-path layering over the condensation DAG via Kahn order.
-    std::vector<uint32_t> indegree(nc, 0);
-    for (uint32_t c = 0; c < nc; ++c)
-        for (uint32_t d : cond.adj[c])
-            ++indegree[d];
-
+    // Longest-path layering over the condensation: labelSccs numbers
+    // every edge's target component below its source, so descending
+    // ids visit each component after all of its predecessors.
     std::vector<uint32_t> layer(nc, 1);
-    std::vector<uint32_t> ready;
-    ready.reserve(nc);
-    for (uint32_t c = 0; c < nc; ++c)
-        if (indegree[c] == 0)
-            ready.push_back(c);
-
-    size_t processed = 0;
-    while (processed < ready.size()) {
-        uint32_t c = ready[processed++];
-        for (uint32_t d : cond.adj[c]) {
-            layer[d] = std::max(layer[d], layer[c] + 1);
-            if (--indegree[d] == 0)
-                ready.push_back(d);
+    for (uint32_t c = nc; c-- > 0;) {
+        for (uint32_t k = begin[c]; k < begin[c + 1]; ++k) {
+            for (StateId t : successors(members[k])) {
+                const uint32_t d = component[t];
+                if (d == c)
+                    continue;
+                SPARSEAP_ASSERT(d < c, "condensation is not a DAG: "
+                                "component ", c, " reaches ", d);
+                layer[d] = std::max(layer[d], layer[c] + 1);
+            }
         }
     }
-    SPARSEAP_ASSERT(processed == nc,
-                    "condensation is not a DAG: processed ", processed,
-                    " of ", nc, " components");
 
     std::vector<uint32_t> order(n);
     for (StateId s = 0; s < n; ++s)
-        order[s] = layer[scc.component[s]];
-    if (scc_out)
-        *scc_out = std::move(scc);
+        order[s] = layer[component[s]];
+    if (scc_out) {
+        scc_out->count = nc;
+        scc_out->members.assign(nc, {});
+        for (uint32_t c = 0; c < nc; ++c)
+            scc_out->members[c].assign(members.begin() + begin[c],
+                                       members.begin() + begin[c + 1]);
+        scc_out->component = std::move(component);
+    }
     return order;
 }
 

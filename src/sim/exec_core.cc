@@ -17,10 +17,13 @@ fold64(const Bitset256 &set)
 
 } // namespace
 
-ExecCore::ExecCore(const FlatAutomaton &fa)
-    : fa_(fa), self_loop_(fa.size(), 0), status_(fa.size(), Status::Normal),
-      mark_(fa.size(), 0)
+ExecCore::ExecCore(const FlatAutomaton &fa,
+                   std::span<const GlobalStateId> report_ids)
+    : fa_(fa), report_ids_(report_ids), self_loop_(fa.size(), 0),
+      status_(fa.size(), Status::Normal), mark_(fa.size(), 0)
 {
+    SPARSEAP_ASSERT(report_ids.empty() || report_ids.size() == fa.size(),
+                    "one report id per state");
     for (GlobalStateId s = 0; s < fa.size(); ++s) {
         for (GlobalStateId t : fa.successors(s)) {
             if (t == s) {
@@ -205,7 +208,7 @@ ExecCore::activate(GlobalStateId s, uint64_t position,
                    ReportList *reports, uint8_t next)
 {
     if (fa_.reporting(s) && reports)
-        reports->push_back({position, s});
+        reports->push_back({position, reportId(s)});
     for (GlobalStateId t : fa_.successors(s))
         enableForNext<kLookahead>(t, next);
 }
@@ -257,7 +260,7 @@ ExecCore::stepWith(uint8_t symbol, uint64_t position, ReportList *reports,
     // Latched reporting states match every actual input byte.
     if (reports) {
         for (GlobalStateId s : latched_reporting_)
-            reports->push_back({position, s});
+            reports->push_back({position, reportId(s)});
     }
 
     next_enabled_.clear();

@@ -56,6 +56,7 @@
 
 #include <array>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "sim/flat_automaton.h"
@@ -72,7 +73,17 @@ class ExecCore
     /** step()'s @p next when the caller does not know the next byte. */
     static constexpr int kNoLookahead = -1;
 
-    explicit ExecCore(const FlatAutomaton &fa);
+    /**
+     * @param report_ids the id each state reports under (one per state
+     *        of @p fa); empty: its own id. The split's cold core steps a
+     *        merged automaton and reports original ids through it. Kept
+     *        by reference, like @p fa: both must outlive the core.
+     */
+    explicit ExecCore(const FlatAutomaton &fa,
+                      std::span<const GlobalStateId> report_ids = {});
+
+    /** The automaton this core steps. */
+    const FlatAutomaton &automaton() const { return fa_; }
 
     /**
      * Prepare for a run over a stream whose distinct bytes are
@@ -200,6 +211,12 @@ class ExecCore
     void makePermanent(GlobalStateId s);
     bool universal(GlobalStateId s) const;
 
+    GlobalStateId
+    reportId(GlobalStateId s) const
+    {
+        return report_ids_.empty() ? s : report_ids_[s];
+    }
+
     bool
     hasSelfLoop(GlobalStateId s) const
     {
@@ -218,6 +235,7 @@ class ExecCore
     void flushPending();
 
     const FlatAutomaton &fa_;
+    std::span<const GlobalStateId> report_ids_;
     Bitset256 input_alphabet_;
     HotStateProfiler *profiler_ = nullptr;
 

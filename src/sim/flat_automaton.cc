@@ -4,8 +4,6 @@
 #include <unordered_map>
 
 #include "common/logging.h"
-#include "graph/topology.h"
-#include "sim/engine.h"
 #include "sim/hot_dfa.h"
 #include "telemetry/metrics.h"
 #include "telemetry/trace.h"
@@ -150,7 +148,6 @@ FlatAutomaton::FlatAutomaton(const Application &app)
         const GlobalStateId base = app.nfaOffset(ni);
         for (StateId si = 0; si < nfa.size(); ++si) {
             const State &st = nfa.state(si);
-            const GlobalStateId gid = base + si;
             owned_.symbols.push_back(st.symbols);
             owned_.reporting.push_back(st.reporting ? 1 : 0);
             owned_.start.push_back(st.start);
@@ -158,14 +155,36 @@ FlatAutomaton::FlatAutomaton(const Application &app)
                 static_cast<uint32_t>(owned_.succ.size()));
             for (StateId t : st.successors)
                 owned_.succ.push_back(base + t);
-            if (st.start == StartKind::AllInput)
-                owned_.all_input_starts.push_back(gid);
-            else if (st.start == StartKind::StartOfData)
-                owned_.sod_starts.push_back(gid);
         }
     }
     owned_.succ_begin.push_back(static_cast<uint32_t>(owned_.succ.size()));
+    install();
+}
 
+FlatAutomaton::FlatAutomaton(Csr csr)
+{
+    SPARSEAP_ASSERT(csr.reporting.size() == csr.symbols.size() &&
+                        csr.start.size() == csr.symbols.size() &&
+                        csr.succBegin.size() == csr.symbols.size() + 1 &&
+                        csr.succBegin.back() == csr.succ.size(),
+                    "malformed FlatAutomaton CSR");
+    owned_.symbols = std::move(csr.symbols);
+    owned_.reporting = std::move(csr.reporting);
+    owned_.start = std::move(csr.start);
+    owned_.succ_begin = std::move(csr.succBegin);
+    owned_.succ = std::move(csr.succ);
+    install();
+}
+
+void
+FlatAutomaton::install()
+{
+    for (GlobalStateId s = 0; s < owned_.start.size(); ++s) {
+        if (owned_.start[s] == StartKind::AllInput)
+            owned_.all_input_starts.push_back(s);
+        else if (owned_.start[s] == StartKind::StartOfData)
+            owned_.sod_starts.push_back(s);
+    }
     symbols_ = owned_.symbols;
     reporting_ = owned_.reporting;
     start_ = owned_.start;
@@ -266,14 +285,8 @@ FlatAutomaton::attachHotDfa(std::shared_ptr<const HotDfa> dfa) const
 std::shared_ptr<const HotDfa>
 FlatAutomaton::ensureSplit() const
 {
-    return split_.ensure([this] {
-        const std::vector<uint32_t> layer = topologicalLayers(
-            size(), [this](StateId s) { return successors(s); });
-        std::vector<uint8_t> hot(size());
-        for (GlobalStateId s = 0; s < size(); ++s)
-            hot[s] = layer[s] <= Engine::kSplitLayers;
-        return HotDfa::build(*this, HotDfa::Limits{}, hot);
-    });
+    return split_.ensure(
+        [this] { return HotDfa::buildSplit(*this, HotDfa::Limits{}); });
 }
 
 std::shared_ptr<const HotDfa>

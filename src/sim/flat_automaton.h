@@ -48,6 +48,24 @@ class FlatAutomaton
   public:
     explicit FlatAutomaton(const Application &app);
 
+    /** A state table and its successor CSR (see the CSR constructor). */
+    struct Csr
+    {
+        std::vector<SymbolSet> symbols;
+        std::vector<uint8_t> reporting;
+        std::vector<StartKind> start;
+        std::vector<uint32_t> succBegin; ///< one entry per state, plus one
+        std::vector<GlobalStateId> succ;
+    };
+
+    /**
+     * Construction straight from flat arrays, adopted as the owned
+     * backing: the symbol classes and the start dispatch are derived as
+     * from an Application. Builds the merged automaton of a hot/cold
+     * split (sim/prefix_merge.h) without an Nfa copy.
+     */
+    explicit FlatAutomaton(Csr csr);
+
     /** Number of states. */
     size_t size() const { return symbols_.size(); }
 
@@ -350,9 +368,10 @@ class FlatAutomaton
     void attachHotDfa(std::shared_ptr<const HotDfa> dfa) const;
 
     /**
-     * Hot/cold split (sim/hot_dfa.h): the states at topological layer
-     * <= Engine::kSplitLayers of their NFA determinized under the
-     * default HotDfa::Limits, each DFA state listing the deeper states
+     * Hot/cold split (HotDfa::buildSplit): this automaton with its
+     * forward-equivalent states merged, its states at topological
+     * layer <= Engine::kSplitLayers determinized under the default
+     * HotDfa::Limits, each DFA state listing the deeper merged states
      * it enables. The layers come from this automaton's own successor
      * CSR, so a store-loaded automaton splits as well. Like
      * ensureHotDfa, exactly one attempt per automaton, bailout
@@ -416,6 +435,9 @@ class FlatAutomaton
     explicit FlatAutomaton(const Parts &parts);
 
   private:
+    /** Derive the spans, start lists, symbol classes and start
+     *  dispatch from the owned state table and successor CSR. */
+    void install();
     void computeSymbolClasses();
 
     /** Owned backing when built from an Application (see file comment). */

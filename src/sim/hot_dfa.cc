@@ -8,6 +8,8 @@
 #include "common/logging.h"
 #include "common/vec.h"
 #include "common/word_vector.h"
+#include "graph/topology.h"
+#include "sim/engine.h"
 #include "telemetry/metrics.h"
 #include "telemetry/trace.h"
 
@@ -126,6 +128,35 @@ appendSortedUnique(std::vector<GlobalStateId> &ids,
 } // namespace
 
 std::shared_ptr<const HotDfa>
+HotDfa::buildSplit(const FlatAutomaton &fa, const Limits &limits)
+{
+    static telemetry::Counter merged_states("split.merged_states");
+    MergedAutomaton merged;
+    std::vector<uint8_t> hot;
+    {
+        // The layers and the merge's temporaries are freed before the
+        // subset construction allocates.
+        const std::vector<uint32_t> layer = topologicalLayers(
+            fa.size(), [&fa](StateId s) { return fa.successors(s); });
+        merged = mergeEquivalentStates(fa, layer);
+        hot.resize(merged.original.size());
+        for (size_t m = 0; m < hot.size(); ++m)
+            hot[m] = layer[merged.original[m]] <= Engine::kSplitLayers;
+    }
+    merged_states.add(fa.size() - merged.automaton->size());
+    const std::shared_ptr<HotDfa> dfa =
+        build(*merged.automaton, limits, hot);
+    if (!dfa)
+        return nullptr;
+    // Hot reports in original ids, rewritten once: merged ids ascend
+    // with their members' original ids, so each list stays ascending.
+    for (GlobalStateId &id : dfa->owned_.reportIds)
+        id = merged.original[id];
+    dfa->cold_ = std::move(merged);
+    return dfa;
+}
+
+std::shared_ptr<HotDfa>
 HotDfa::build(const FlatAutomaton &fa, const Limits &limits,
               std::span<const uint8_t> hot)
 {

@@ -28,7 +28,12 @@
  * enables. The subset must be closed under predecessors (no cold state
  * enables a hot one), which a topological layer cut guarantees. The
  * whole-automaton DFA is the subset "every state", with no cold
- * enables.
+ * enables. The split proper (buildSplit) is built over the automaton
+ * with its forward-equivalent states merged (sim/prefix_merge.h), the
+ * way an AP toolchain compiles its cold fragment: its cold core steps
+ * the merged automaton, so duplicate rule prefixes below the cut step
+ * once, and its hot report lists are renamed to original ids at build
+ * time.
  *
  * Construction is a plain BFS expanding classes in ascending order, so
  * state numbering — and therefore the encoded artifact — is
@@ -59,6 +64,7 @@
 
 #include "common/vec.h"
 #include "sim/flat_automaton.h"
+#include "sim/prefix_merge.h"
 
 namespace sparseap {
 
@@ -83,9 +89,21 @@ class HotDfa
      *        under predecessors.
      * @return the DFA, or null when a budget was exceeded.
      */
-    static std::shared_ptr<const HotDfa>
+    static std::shared_ptr<HotDfa>
     build(const FlatAutomaton &fa, const Limits &limits,
           std::span<const uint8_t> hot = {});
+
+    /**
+     * The hot/cold split of @p fa (FlatAutomaton::ensureSplit): merge
+     * its forward-equivalent states (sim/prefix_merge.h), then
+     * determinize the merged states at topological layer <=
+     * Engine::kSplitLayers under @p limits. The merged automaton stays
+     * with the DFA as its cold side: coldEnables() and the cold core
+     * use merged ids, while reportsOf() lists original ids.
+     * @return the split, or null when a budget was exceeded.
+     */
+    static std::shared_ptr<const HotDfa>
+    buildSplit(const FlatAutomaton &fa, const Limits &limits);
 
     /** Number of DFA states (>= 1; state 0 is the start state). */
     size_t states() const { return states_; }
@@ -121,6 +139,18 @@ class HotDfa
 
     /** True iff this is a hot-subset DFA with a cold side. */
     bool split() const { return !cold_begin_.empty(); }
+
+    /** The automaton a buildSplit() split's cold core steps: the
+     *  merged automaton its DFA was built over. */
+    const FlatAutomaton &coldAutomaton() const { return *cold_.automaton; }
+
+    /** Original id of each of the cold automaton's states (buildSplit):
+     *  the ids the cold core reports under. */
+    std::span<const GlobalStateId>
+    originalIds() const
+    {
+        return cold_.original;
+    }
 
     /**
      * Cold states @p state's activated set enables for the next symbol,
@@ -217,6 +247,8 @@ class HotDfa
     /** Cold-enable CSR, states + 1 entries; empty without a cold side. */
     std::vector<uint32_t> cold_begin_;
     std::vector<GlobalStateId> cold_ids_;
+    /** buildSplit() only: the merged automaton and its original ids. */
+    MergedAutomaton cold_;
 
     struct Owned
     {

@@ -53,7 +53,7 @@ EngineSession::EngineSession(const FlatAutomaton &fa)
 }
 
 EngineSession::EngineSession(const FlatAutomaton &fa, SessionConfig config)
-    : fa_(fa), config_(config), core_(std::make_unique<ExecCore>(fa))
+    : fa_(fa), config_(config)
 {
 }
 
@@ -70,6 +70,15 @@ EngineSession::ensureDense()
 {
     if (!dense_)
         dense_ = std::make_unique<DenseCore>(fa_);
+}
+
+ExecCore &
+EngineSession::sparseCore(const FlatAutomaton &fa,
+                          std::span<const GlobalStateId> report_ids)
+{
+    if (!core_ || &core_->automaton() != &fa)
+        core_ = std::make_unique<ExecCore>(fa, report_ids);
+    return *core_;
 }
 
 EngineMode
@@ -146,11 +155,14 @@ EngineSession::startCore(EngineMode mode, HotStateProfiler *profiler)
         }
     }
     if (mode == EngineMode::Auto && (dfa_ = fa_.splitIfBuilt())) {
-        // The cold side starts empty: only the hot→cold enables (and
-        // the cold starts, state 0's list) ever enable its states.
-        core_->reset(config_.alphabet, nullptr, /*install_starts=*/false);
+        // The cold side steps the split's merged automaton and starts
+        // empty: only the hot→cold enables (and the cold starts, state
+        // 0's list) ever enable its states.
+        ExecCore &cold =
+            sparseCore(dfa_->coldAutomaton(), dfa_->originalIds());
+        cold.reset(config_.alphabet, nullptr, /*install_starts=*/false);
         for (GlobalStateId s : dfa_->coldEnables(0))
-            core_->enableState(s);
+            cold.enableState(s);
         phase_ = Phase::Split;
         return;
     }
@@ -160,7 +172,8 @@ EngineSession::startCore(EngineMode mode, HotStateProfiler *profiler)
         phase_ = Phase::Dense;
         return;
     }
-    core_->reset(config_.alphabet, profiler, /*install_starts=*/true);
+    sparseCore(fa_).reset(config_.alphabet, profiler,
+                          /*install_starts=*/true);
     // The probe needs more than kProbeCycles stream symbols to ever
     // decide; with fewer the stream just ran sparse — exactly the
     // n > kProbeCycles gate of a whole-input run, evaluated lazily.
@@ -242,9 +255,10 @@ EngineSession::feedTable(std::span<const uint8_t> chunk, size_t i)
     // DFA state's hot→cold enables for the next symbol, both counted
     // as probe work while kMeasure. Past the measurement window the
     // cold step takes the next byte as lookahead, except at the chunk's
-    // end, where the stream may suspend. Hot reports precede cold ones
-    // within a position. Forced inline: an outlined call keeps `state`
-    // in memory and costs the DFA loop ~10%.
+    // end, where the stream may suspend. The cold core steps the merged
+    // automaton and emits its reports under original ids (sparseCore).
+    // Hot reports precede cold ones within a position. Forced inline: an
+    // outlined call keeps `state` in memory and costs the DFA loop ~10%.
     auto step = [&](size_t j) __attribute__((always_inline)) {
         state = dfa.next(state, chunk[j]);
         for (GlobalStateId id : dfa.reportsOf(state))
@@ -383,7 +397,8 @@ EngineSession::suspend() const
     case Phase::Sparse:
     case Phase::Probe:
     case Phase::Split: // plus dfaState, the hot side
-        core_->saveState(&snap.sparse);
+        if (core_) // null only before the first restart()
+            core_->saveState(&snap.sparse);
         break;
     case Phase::Dense:
         dense_->snapshotEnabled(&snap.dense);
@@ -421,7 +436,7 @@ EngineSession::resume(const Snapshot &snap)
     switch (phase_) {
     case Phase::Sparse:
     case Phase::Probe:
-        core_->restoreState(config_.alphabet, snap.sparse);
+        sparseCore(fa_).restoreState(config_.alphabet, snap.sparse);
         break;
     case Phase::Dense:
         ensureDense();
@@ -442,13 +457,15 @@ EngineSession::resume(const Snapshot &snap)
                         "budgets");
         break;
     case Phase::Split:
-        // Likewise through the split's one-shot slot; the cold core
-        // replays its ordered lists.
+        // Likewise through the split's one-shot slot, whose merge is as
+        // deterministic as its BFS; the cold core replays its ordered
+        // lists, which hold merged ids.
         dfa_ = fa_.ensureSplit();
         SPARSEAP_ASSERT(dfa_ != nullptr,
                         "resuming a split-phase stream requires the "
                         "automaton to split under the current budgets");
-        core_->restoreState(config_.alphabet, snap.sparse);
+        sparseCore(dfa_->coldAutomaton(), dfa_->originalIds())
+            .restoreState(config_.alphabet, snap.sparse);
         break;
     }
 }

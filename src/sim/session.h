@@ -25,8 +25,9 @@
  *  2. its hot/cold split, when one is built and not retired
  *     (FlatAutomaton::splitIfBuilt): the layer <= Engine::kSplitLayers
  *     states step as a DFA, and each DFA state enables its deeper
- *     states on the session's sparse core, reset without starts — the
- *     way SpAP drives its cold fabric. The split stream measures that
+ *     states on the session's sparse core, bound to the split's
+ *     prefix-merged automaton and reset without starts — the way SpAP
+ *     drives its cold fabric. The split stream measures that
  *     sparse side over its first Engine::kProbeCycles symbols, and at
  *     the probe's dense threshold retires the split for later streams;
  *  3. otherwise the probe, carried *across* chunks: the session
@@ -225,7 +226,7 @@ class EngineSession
          *  sparse side over its first Engine::kProbeCycles symbols). */
         uint64_t probeWork = 0;
         /** Ordered sparse-core state (sparse/probe phases; the
-         *  split's cold core). */
+         *  split's cold core, in its merged automaton's ids). */
         ExecCore::Snapshot sparse;
         /** Dense live set, ascending ids (dense phase). */
         std::vector<GlobalStateId> dense;
@@ -291,6 +292,11 @@ class EngineSession
     };
 
     void ensureDense();
+    /** core_, (re)bound to @p fa: the session's automaton for the
+     *  sparse and probe phases, the split's merged one, reporting
+     *  under @p report_ids, for its cold side. Created on first use. */
+    ExecCore &sparseCore(const FlatAutomaton &fa,
+                         std::span<const GlobalStateId> report_ids = {});
     void startCore(EngineMode mode, HotStateProfiler *profiler);
     void decideHandover();
     /** Retire the split when this stream's sparse side ran dense. */
@@ -308,7 +314,8 @@ class EngineSession
     ReportList reports_;
     SessionStats stats_;
 
-    /** The sparse core (sparse/probe phases; the split's cold side). */
+    /** The sparse core (sparse/probe phases; the split's cold side,
+     *  on its merged automaton); see sparseCore(). */
     std::unique_ptr<ExecCore> core_;
     std::unique_ptr<DenseCore> dense_; ///< created on first dense use
     std::shared_ptr<const HotDfa> dfa_; ///< the DFA/split phase's table

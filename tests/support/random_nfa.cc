@@ -64,6 +64,68 @@ randomApplication(Rng &rng, size_t nfa_count, const RandomNfaParams &params)
     return app;
 }
 
+Application
+randomRuleSet(Rng &rng, size_t nfa_count, unsigned alphabet_size,
+              std::vector<std::vector<uint8_t>> *matches)
+{
+    auto literal = [&](size_t lo, size_t hi) {
+        std::vector<uint8_t> bytes(rng.uniform(lo, hi));
+        for (uint8_t &b : bytes)
+            b = static_cast<uint8_t>(rng.index(alphabet_size));
+        return bytes;
+    };
+    std::vector<std::vector<uint8_t>> prefixes(2 + rng.index(2));
+    for (auto &p : prefixes)
+        p = literal(2, 6);
+    std::vector<std::vector<uint8_t>> tails(2 + rng.index(2));
+    for (auto &t : tails)
+        t = literal(1, 4);
+
+    Application app("rule_set", "RULES");
+    matches->clear();
+    for (size_t i = 0; i < nfa_count; ++i) {
+        Nfa nfa("rule_" + std::to_string(i));
+        std::vector<uint8_t> &match = matches->emplace_back();
+        const StartKind start = rng.chance(0.15) ? StartKind::StartOfData
+                                                 : StartKind::AllInput;
+        StateId last = kInvalidState;
+        auto chain = [&](const std::vector<uint8_t> &bytes) {
+            for (uint8_t b : bytes) {
+                const StateId s = nfa.addState(
+                    SymbolSet::single(b),
+                    last == kInvalidState ? start : StartKind::None,
+                    false);
+                if (last != kInvalidState)
+                    nfa.addEdge(last, s);
+                last = s;
+                match.push_back(b);
+            }
+        };
+        chain(prefixes[rng.index(prefixes.size())]);
+        if (rng.chance(0.2))
+            nfa.state(last).reporting = true;
+        if (rng.chance(0.7)) {
+            const StateId gap = nfa.addState(SymbolSet::all());
+            nfa.addEdge(last, gap);
+            nfa.addEdge(gap, gap);
+            last = gap;
+            const std::vector<uint8_t> filler = literal(1, 5);
+            match.insert(match.end(), filler.begin(), filler.end());
+        }
+        const StateId tail_first = static_cast<StateId>(nfa.size());
+        chain(rng.chance(0.6) ? tails[rng.index(tails.size())]
+                              : literal(1, 4));
+        if (rng.chance(0.15))
+            nfa.addEdge(tail_first, tail_first); // a `b+` position
+        nfa.state(last).reporting = true;
+        if (rng.chance(0.1))
+            nfa.addEdge(last, tail_first); // the tail repeats
+        nfa.finalize();
+        app.addNfa(std::move(nfa));
+    }
+    return app;
+}
+
 uint32_t
 minPartitionLayer(const Nfa &nfa, const Topology &topo)
 {

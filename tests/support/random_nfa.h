@@ -48,6 +48,24 @@ Nfa randomNfa(Rng &rng, const RandomNfaParams &params,
 Application randomApplication(Rng &rng, size_t nfa_count,
                               const RandomNfaParams &params = {});
 
+/**
+ * Rule-set-shaped random application, the shape prefix merging folds.
+ * Each NFA is a literal chain: one of a few shared prefixes, then
+ * usually a `.*` gap (a universal self-loop state), then a shared or
+ * its own literal tail ending in a reporting state. NFAs that draw the
+ * same prefix repeat its states, and twin gaps after one prefix (and
+ * the shared tails behind them) are forward-equivalent. Some NFAs start
+ * at start of data, some carry a self-looping tail state (`b+`) or a
+ * second reporting state mid-chain, and some tails loop back, a cycle
+ * the merge keeps whole. Symbols lie in [0, alphabet_size).
+ *
+ * @param matches receives, per NFA, one input that makes it report
+ *        (from offset 0 for a start-of-data NFA)
+ */
+Application randomRuleSet(Rng &rng, size_t nfa_count,
+                          unsigned alphabet_size,
+                          std::vector<std::vector<uint8_t>> *matches);
+
 /** Generate a random input over [0, alphabetSize). */
 std::vector<uint8_t> randomInput(Rng &rng, size_t len,
                                  unsigned alphabet_size);

@@ -5,14 +5,21 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
-#include "nfa/optimize.h"
+#include "graph/topology.h"
 #include "regex/glushkov.h"
 #include "sim/engine.h"
-#include "support/naive_sim.h"
+#include "sim/prefix_merge.h"
 #include "support/random_nfa.h"
 
 namespace sparseap {
 namespace {
+
+/** State counts of merging @p fa. */
+OptimizeStats
+mergeStats(const FlatAutomaton &fa)
+{
+    return {fa.size(), mergeEquivalentStates(fa).automaton->size()};
+}
 
 TEST(Optimize, MergesSharedLiteralPrefix)
 {
@@ -56,8 +63,9 @@ TEST(Optimize, NoFalseMergeOnDifferentPredecessors)
     nfa.addEdge(b1, r1);
     nfa.addEdge(b2, r2);
     nfa.finalize();
+    app.addNfa(std::move(nfa));
 
-    OptimizeStats stats = mergeCommonPrefixes(nfa);
+    OptimizeStats stats = mergeStats(FlatAutomaton(app));
     EXPECT_EQ(stats.statesAfter, stats.statesBefore);
 }
 
@@ -67,9 +75,10 @@ TEST(Optimize, IdempotentAtFixpoint)
     app.addNfa(compileRegex("GET /a", "r1"));
     app.addNfa(compileRegex("GET /b", "r2"));
     app.addNfa(compileRegex("GET /c", "r3"));
-    Nfa flat = flattenApplication(app);
-    OptimizeStats first = mergeCommonPrefixes(flat);
-    OptimizeStats second = mergeCommonPrefixes(flat);
+    FlatAutomaton flat(app);
+    const MergedAutomaton once = mergeEquivalentStates(flat);
+    OptimizeStats first{flat.size(), once.automaton->size()};
+    OptimizeStats second = mergeStats(*once.automaton);
     EXPECT_LT(first.statesAfter, first.statesBefore);
     EXPECT_EQ(second.statesAfter, second.statesBefore);
 }
@@ -78,17 +87,17 @@ TEST(Optimize, RemapTracksMergedIds)
 {
     Application app("t", "T");
     app.addNfa(compileRegex("abX|abY", "r"));
-    Nfa flat = flattenApplication(app);
-    std::vector<StateId> remap;
-    mergeCommonPrefixes(flat, &remap);
+    FlatAutomaton flat(app);
+    std::vector<GlobalStateId> remap;
+    const MergedAutomaton merged = mergeEquivalentStates(flat, {}, &remap);
     ASSERT_EQ(remap.size(), 6u);
     // Position order is a,b,X,a,b,Y: both 'a' positions share one id,
     // as do both 'b' positions.
     EXPECT_EQ(remap[0], remap[3]);
     EXPECT_EQ(remap[1], remap[4]);
     EXPECT_NE(remap[2], remap[5]); // reporting states stay distinct
-    for (StateId id : remap)
-        EXPECT_LT(id, flat.size());
+    for (GlobalStateId id : remap)
+        EXPECT_LT(id, merged.automaton->size());
 }
 
 /**
@@ -107,22 +116,14 @@ TEST(Optimize, PropertyReportsPreserved)
             testing::randomApplication(rng, 1 + rng.index(3), params);
         std::vector<uint8_t> input = testing::randomInput(rng, 200, 16);
 
-        Nfa flat = flattenApplication(app);
-        Application flat_app("flat", "F");
-        {
-            Nfa copy = flat; // keep the unmerged flat automaton
-            flat_app.addNfa(std::move(copy));
-        }
-        FlatAutomaton fa_before(flat_app);
+        FlatAutomaton fa_before(app);
         Engine before(fa_before);
         ReportList want = before.run(input).reports;
 
-        std::vector<StateId> remap;
-        mergeCommonPrefixes(flat, &remap);
-        Application merged_app("merged", "M");
-        merged_app.addNfa(std::move(flat));
-        FlatAutomaton fa_after(merged_app);
-        Engine after(fa_after);
+        std::vector<GlobalStateId> remap;
+        const MergedAutomaton merged =
+            mergeEquivalentStates(fa_before, {}, &remap);
+        Engine after(*merged.automaton);
         ReportList got = after.run(input).reports;
 
         // Remap the reference reports into merged ids and compare.
@@ -134,21 +135,62 @@ TEST(Optimize, PropertyReportsPreserved)
     }
 }
 
-TEST(Optimize, FlattenPreservesExecution)
+/**
+ * Property: classes are numbered by their lowest member, every merged
+ * state keeps its members' layer, and only non-reporting states of one
+ * layer, symbol set and start kind share a class — so the split's layer
+ * cut means the same on the merged automaton.
+ */
+TEST(Optimize, PropertyClassesKeepLayersAndRepresentatives)
 {
-    Rng rng(778);
-    Application app = testing::randomApplication(rng, 4);
-    std::vector<uint8_t> input = testing::randomInput(rng, 150, 16);
+    Rng rng(779);
+    size_t merging_cases = 0;
+    for (int trial = 0; trial < 60; ++trial) {
+        // Cyclic random graphs, and rule sets that share prefixes.
+        testing::RandomNfaParams params;
+        params.backEdgeProb = 0.2;
+        params.universalProb = 0.2;
+        params.extraStartProb = 0.2;
+        params.alphabetSize = 4;
+        params.maxSymbols = 1;
+        std::vector<std::vector<uint8_t>> matches;
+        const Application app =
+            trial % 2 == 0
+                ? testing::randomApplication(rng, 2 + rng.index(4), params)
+                : testing::randomRuleSet(rng, 2 + rng.index(8), 4,
+                                         &matches);
+        FlatAutomaton fa(app);
+        auto layers = [](const FlatAutomaton &a) {
+            return topologicalLayers(
+                a.size(), [&a](StateId s) { return a.successors(s); });
+        };
+        const std::vector<uint32_t> layer = layers(fa);
+        std::vector<GlobalStateId> remap;
+        const MergedAutomaton merged =
+            mergeEquivalentStates(fa, layer, &remap);
+        const FlatAutomaton &m = *merged.automaton;
+        const std::vector<uint32_t> merged_layer = layers(m);
+        merging_cases += m.size() < fa.size() ? 1 : 0;
 
-    ReportList direct = testing::naiveSimulate(app, input);
-
-    Application flat_app("flat", "F");
-    flat_app.addNfa(flattenApplication(app));
-    FlatAutomaton fa(flat_app);
-    Engine engine(fa);
-    ReportList flat = engine.run(input).reports;
-    std::sort(flat.begin(), flat.end());
-    EXPECT_EQ(flat, direct); // global ids coincide by construction
+        ASSERT_EQ(merged.original.size(), m.size());
+        for (GlobalStateId c = 0; c < m.size(); ++c) {
+            EXPECT_EQ(remap[merged.original[c]], c);
+            if (c > 0) {
+                EXPECT_LT(merged.original[c - 1], merged.original[c]);
+            }
+        }
+        for (GlobalStateId s = 0; s < fa.size(); ++s) {
+            const GlobalStateId c = remap[s];
+            EXPECT_LE(merged.original[c], s);
+            EXPECT_EQ(merged_layer[c], layer[s]) << "trial " << trial;
+            EXPECT_EQ(m.symbols(c), fa.symbols(s));
+            EXPECT_EQ(m.start(c), fa.start(s));
+            if (fa.reporting(s)) {
+                EXPECT_EQ(merged.original[c], s);
+            }
+        }
+    }
+    EXPECT_GE(merging_cases, 30u);
 }
 
 } // namespace

@@ -3,9 +3,10 @@
  * Hot/cold split tests: the layer cut computed over a flattened
  * automaton equals each NFA's own topology; the whole-automaton DFA is
  * the "every state" subset of the one subset construction; auto runs a
- * built split against the naive oracle on deep random automata, with
- * random chunk boundaries, the input skip on and off, and suspend/resume
- * into fresh sessions at random offsets, byte-identical to Engine::run;
+ * built split against the naive oracle on deep random automata and on
+ * rule-set-shaped ones whose merge folds cold states, with random
+ * chunk boundaries, the input skip on and off, and suspend/resume into
+ * fresh sessions at random offsets, byte-identical to Engine::run;
  * the test-scale workloads whose split builds match the sparse core on
  * reporting inputs, chunked and parked byte-identically to Engine::run,
  * and keep the split; dense traffic on a split retires it; and
@@ -14,6 +15,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -24,6 +26,7 @@
 #include "sim/engine.h"
 #include "sim/exec_core.h"
 #include "sim/hot_dfa.h"
+#include "sim/prefix_merge.h"
 #include "sim/session.h"
 #include "support/naive_sim.h"
 #include "support/random_nfa.h"
@@ -121,12 +124,73 @@ latches(const FlatAutomaton &fa, GlobalStateId s)
 }
 
 /**
+ * Auto on @p fa's built split over @p input, skip off and on: one whole
+ * run, and one over random chunk boundaries with suspend/resume into a
+ * fresh session at random offsets. Sorted reports equal @p want; the
+ * chunked stream is byte-identical to the whole run.
+ *
+ * @return symbols the chunked runs skipped
+ */
+uint64_t
+expectSplitMatches(const FlatAutomaton &fa, std::span<const uint8_t> input,
+                   const ReportList &want, Rng &rng)
+{
+    uint64_t skipped = 0;
+    for (bool skip : {false, true}) {
+        SCOPED_TRACE(skip ? "skip" : "noskip");
+        Engine engine(fa, EngineMode::Auto);
+        engine.setInputSkip(skip);
+        const SimResult whole = engine.run(input);
+        EXPECT_EQ(engine.resolvedMode(), EngineMode::Split);
+        EXPECT_EQ(sorted(whole.reports), want);
+
+        SessionConfig config;
+        config.mode = EngineMode::Auto;
+        config.inputSkip = skip;
+        config.alphabet = ExecCore::distinctBytes(input);
+        auto session = std::make_unique<EngineSession>(fa, config);
+        session->restart();
+        ReportList got;
+        size_t at = 0;
+        while (at < input.size()) {
+            const size_t take =
+                std::min(input.size() - at, 1 + rng.index(97));
+            session->feed(input.subspan(at, take));
+            at += take;
+            EXPECT_EQ(session->resolvedMode(), EngineMode::Split);
+            EXPECT_FALSE(session->dfaPhase());
+            const ReportList part = session->takeReports();
+            got.insert(got.end(), part.begin(), part.end());
+            if (rng.chance(0.3)) {
+                const EngineSession::Snapshot snap = session->suspend();
+                session = std::make_unique<EngineSession>(fa);
+                session->resume(snap);
+            }
+        }
+        EXPECT_TRUE(session->stats().usedSplit);
+        skipped += session->stats().skippedSymbols;
+        EXPECT_EQ(got, whole.reports);
+    }
+    return skipped;
+}
+
+/** True iff some report of @p reports comes from below the layer cut. */
+bool
+reportsFromCold(const ReportList &reports,
+                const std::vector<uint32_t> &layer)
+{
+    return std::any_of(reports.begin(), reports.end(),
+                       [&](const Report &r) {
+                           return layer[r.state] > Engine::kSplitLayers;
+                       });
+}
+
+/**
  * The oracle gate: deep random automata (states below the layer cut,
  * universal self-loops on both sides of it, start-of-data starts and
  * starts below the cut), the split built, then auto over random chunk
  * boundaries with suspend/resume into a fresh session at random
- * offsets, skip on and off. Sorted reports equal the naive simulator's;
- * the report stream is byte-identical to Engine::run. Only cases that
+ * offsets, skip on and off (expectSplitMatches). Only cases that
  * report count, and enough of them must — from the cold side too.
  */
 TEST(Split, PropertyMatchesNaiveOnDeepRandomAutomata)
@@ -183,50 +247,8 @@ TEST(Split, PropertyMatchesNaiveOnDeepRandomAutomata)
         if (want.empty())
             continue;
         ++reporting_cases;
-        cold_reporting_cases +=
-            std::any_of(want.begin(), want.end(),
-                        [&](const Report &r) {
-                            return layer[r.state] > Engine::kSplitLayers;
-                        })
-                ? 1
-                : 0;
-
-        for (bool skip : {false, true}) {
-            SCOPED_TRACE(skip ? "skip" : "noskip");
-            Engine engine(fa, EngineMode::Auto);
-            engine.setInputSkip(skip);
-            const SimResult whole = engine.run(input);
-            EXPECT_EQ(engine.resolvedMode(), EngineMode::Split);
-            EXPECT_EQ(sorted(whole.reports), want);
-
-            SessionConfig config;
-            config.mode = EngineMode::Auto;
-            config.inputSkip = skip;
-            config.alphabet = ExecCore::distinctBytes(input);
-            auto session = std::make_unique<EngineSession>(fa, config);
-            session->restart();
-            ReportList got;
-            size_t at = 0;
-            while (at < input.size()) {
-                const size_t take =
-                    std::min(input.size() - at, 1 + rng.index(97));
-                session->feed(std::span(input).subspan(at, take));
-                at += take;
-                EXPECT_EQ(session->resolvedMode(), EngineMode::Split);
-                EXPECT_FALSE(session->dfaPhase());
-                const ReportList part = session->takeReports();
-                got.insert(got.end(), part.begin(), part.end());
-                if (rng.chance(0.3)) {
-                    const EngineSession::Snapshot snap =
-                        session->suspend();
-                    session = std::make_unique<EngineSession>(fa);
-                    session->resume(snap);
-                }
-            }
-            EXPECT_TRUE(session->stats().usedSplit);
-            skipped += session->stats().skippedSymbols;
-            EXPECT_EQ(got, whole.reports);
-        }
+        cold_reporting_cases += reportsFromCold(want, layer) ? 1 : 0;
+        skipped += expectSplitMatches(fa, input, want, rng);
     }
     std::printf("split oracle: %zu deep (%zu bailed), %zu reporting "
                 "(%zu from cold states), %zu latch on both sides, %zu "
@@ -245,6 +267,68 @@ TEST(Split, PropertyMatchesNaiveOnDeepRandomAutomata)
 }
 
 /**
+ * The oracle gate on the merge: rule-set-shaped random automata whose
+ * shared literal prefixes and twin `.*` gaps fold below the layer cut,
+ * with planted matches (one at offset 0, for start-of-data rules), run
+ * on the merged split by expectSplitMatches. The split's cold side is
+ * the merge of the whole automaton, and enough cases must fold cold
+ * states and report from cold states.
+ */
+TEST(Split, PropertyMergedSplitMatchesNaiveOnSharedPrefixes)
+{
+    Rng rng(20181023);
+    constexpr unsigned kAlphabet = 8;
+    size_t merged_cases = 0, cold_reporting_cases = 0;
+    size_t merged_and_cold_reporting = 0;
+    uint64_t skipped = 0;
+    for (int trial = 0; trial < 120; ++trial) {
+        SCOPED_TRACE("trial " + std::to_string(trial));
+        std::vector<std::vector<uint8_t>> matches;
+        const Application app = testing::randomRuleSet(
+            rng, 2 + rng.index(10), kAlphabet, &matches);
+        FlatAutomaton fa(app);
+        const std::vector<uint32_t> layer = flatLayers(fa);
+        std::vector<GlobalStateId> remap;
+        const MergedAutomaton merged =
+            mergeEquivalentStates(fa, layer, &remap);
+        bool cold_merged = false;
+        for (GlobalStateId s = 0; s < fa.size(); ++s)
+            cold_merged = cold_merged ||
+                          (layer[s] > Engine::kSplitLayers &&
+                           merged.original[remap[s]] != s);
+
+        const auto split = fa.ensureSplit();
+        ASSERT_NE(split, nullptr);
+        ASSERT_EQ(split->coldAutomaton().size(), merged.automaton->size());
+
+        std::vector<uint8_t> input =
+            testing::randomInput(rng, 700, kAlphabet);
+        for (int k = 0; k < 8; ++k) {
+            const std::vector<uint8_t> &m =
+                matches[rng.index(matches.size())];
+            const size_t at = k == 0 ? 0 : rng.index(input.size() - m.size());
+            std::copy(m.begin(), m.end(), input.begin() + at);
+        }
+        const ReportList want = testing::naiveSimulate(app, input);
+        ASSERT_FALSE(want.empty());
+        const bool cold_reports = reportsFromCold(want, layer);
+        merged_cases += cold_merged ? 1 : 0;
+        cold_reporting_cases += cold_reports ? 1 : 0;
+        merged_and_cold_reporting += cold_merged && cold_reports ? 1 : 0;
+        skipped += expectSplitMatches(fa, input, want, rng);
+    }
+    std::printf("merged split oracle: %zu with merged cold states, %zu "
+                "reporting from cold states, %zu both, %llu symbols "
+                "skipped\n",
+                merged_cases, cold_reporting_cases,
+                merged_and_cold_reporting,
+                static_cast<unsigned long long>(skipped));
+    EXPECT_GE(merged_cases, 60u);
+    EXPECT_GE(cold_reporting_cases, 60u);
+    EXPECT_GE(merged_and_cold_reporting, 40u);
+}
+
+/**
  * The test-scale workloads whose split builds: auto runs it and its
  * sorted reports equal the pinned sparse core's, on inputs with
  * planted matches of the first pattern so that they report.
@@ -252,7 +336,8 @@ TEST(Split, PropertyMatchesNaiveOnDeepRandomAutomata)
 TEST(Split, WorkloadsWhoseSplitBuildsMatchSparse)
 {
     Rng rng(20180621);
-    for (const char *abbr : {"Snort", "Snort_L", "DS", "ER", "TCP", "CAV"}) {
+    for (const char *abbr :
+         {"Snort", "Snort_L", "DS", "ER", "TCP", "CAV", "Brill"}) {
         SCOPED_TRACE(abbr);
         Workload w = generateWorkload(abbr, 7, 5);
         FlatAutomaton fa(w.app);
