@@ -1,6 +1,7 @@
 #include "partition/hotcold.h"
 
 #include <algorithm>
+#include <optional>
 
 #include "common/logging.h"
 #include "common/vec.h"
@@ -52,58 +53,36 @@ profileApplication(const FlatAutomaton &fa, std::span<const uint8_t> input,
     }
     const size_t longest = checkpoints.back();
 
-    // Profiling starts on the sparse core: its per-state enable hooks
-    // feed the profiler. The universality alphabet covers the whole
-    // profiled prefix; for earlier checkpoints it is a superset of the
-    // bytes actually consumed, which only makes the latching optimization
-    // more conservative — the enabled-set trace, and hence every
-    // snapshot, is unchanged.
-    HotStateProfiler profiler(fa.size());
-    profiler.markStarts(fa);
-    ExecCore core(fa);
-    core.reset(ExecCore::distinctBytes(input.subspan(0, longest)),
-               &profiler, /*install_starts=*/true);
+    // The universality alphabet covers the whole profiled prefix; for
+    // earlier checkpoints it is a superset of the bytes actually
+    // consumed, which only makes the latching optimization more
+    // conservative — the enabled-set trace, and hence every snapshot,
+    // is unchanged.
+    const std::span<const uint8_t> prefix = input.subspan(0, longest);
+    const Bitset256 alphabet = ExecCore::distinctBytes(prefix);
 
-    size_t next = 0;
-    auto snapshotSparse = [&](size_t i) {
-        while (next < checkpoints.size() && checkpoints[next] == i) {
-            HotColdProfile p;
-            p.hot = profiler.hotSet();
-            profiles.push_back(std::move(p));
-            ++next;
-        }
-    };
-
-    // Decide the core exactly like Engine::run: dense when forced, or
-    // when the sparse core's measured probe work exceeds a word sweep.
-    size_t i = 0;
+    // Run dense from symbol 0 when forced, or when the automaton's
+    // core decision (made from this profiling prefix if it is the
+    // first) is dense.
     bool go_dense = mode == EngineMode::Dense;
-    if (mode == EngineMode::Auto && fa.size() >= Engine::kMinDenseStates &&
-        longest > Engine::kProbeCycles) {
-        uint64_t work_acc = 0;
-        for (; i < Engine::kProbeCycles; ++i) {
-            snapshotSparse(i);
-            core.step(input[i], i, nullptr);
-            work_acc += core.lastStepWork();
-        }
-        const uint64_t threshold =
-            static_cast<uint64_t>(Engine::kProbeCycles) *
-            Engine::kDenseWorkPerWord * wordsForBits(fa.size());
-        go_dense = work_acc >= threshold;
+    if (mode == EngineMode::Auto) {
+        const std::optional<CoreDecision> d =
+            fa.decideCore(prefix, alphabet);
+        go_dense = d && d->dense;
     }
 
+    HotStateProfiler profiler(fa.size());
+    profiler.markStarts(fa);
+    size_t next = 0;
+
     if (go_dense) {
-        // Hand the in-flight enabled set over to the dense core. States
-        // hot so far stay recorded in the profiler; from here on, hotness
-        // is accumulated by ORing the enabled bit vector after each step
-        // — the same "enabled at least once" set, one word sweep per
-        // cycle instead of per-state hooks (this is what lets dense-heavy
-        // automata profile at dense-core speed).
-        std::vector<GlobalStateId> live;
-        core.snapshotEnabled(&live);
+        // The profiler holds the starts; from there on hotness is
+        // accumulated by ORing the enabled bit vector after each step —
+        // the same "enabled at least once" set as the sparse core's
+        // per-state hooks, one word sweep per cycle (this is what lets
+        // dense-heavy automata profile at dense-core speed).
         DenseCore dense(fa);
-        dense.reset(/*install_starts=*/false);
-        dense.seed(live);
+        dense.reset(/*install_starts=*/true);
 
         const size_t words = wordsForBits(fa.size());
         WordVector hot(words, 0);
@@ -133,7 +112,7 @@ profileApplication(const FlatAutomaton &fa, std::span<const uint8_t> input,
                 ++next;
             }
         };
-        for (; i < longest; ++i) {
+        for (size_t i = 0; i < longest; ++i) {
             snapshotDense(i);
             dense.step(input[i], i, nullptr);
             // Accumulate with the same live-fraction crossover as
@@ -157,7 +136,18 @@ profileApplication(const FlatAutomaton &fa, std::span<const uint8_t> input,
         return profiles;
     }
 
-    for (; i < longest; ++i) {
+    // The sparse core's per-state enable hooks feed the profiler.
+    ExecCore core(fa);
+    core.reset(alphabet, &profiler, /*install_starts=*/true);
+    auto snapshotSparse = [&](size_t i) {
+        while (next < checkpoints.size() && checkpoints[next] == i) {
+            HotColdProfile p;
+            p.hot = profiler.hotSet();
+            profiles.push_back(std::move(p));
+            ++next;
+        }
+    };
+    for (size_t i = 0; i < longest; ++i) {
         snapshotSparse(i);
         core.step(input[i], i, nullptr);
     }

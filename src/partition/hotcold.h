@@ -67,8 +67,9 @@ profileApplication(const FlatAutomaton &fa, std::span<const uint8_t> input,
  * Variant with an explicit stepping-core selection instead of the
  * SPARSEAP_ENGINE global. All modes produce bit-identical profiles
  * (property-tested): Sparse uses the per-state enable hooks; Dense
- * accumulates the enabled bit vector after every step; Auto probes on
- * the sparse core and hands over mid-run exactly like Engine::run.
+ * accumulates the enabled bit vector after every step; Auto runs the
+ * automaton's core decision (FlatAutomaton::decideCore), which the
+ * profiled prefix makes when it is the automaton's first calibration.
  */
 std::vector<HotColdProfile>
 profileApplication(const FlatAutomaton &fa, std::span<const uint8_t> input,

@@ -153,9 +153,8 @@ struct TenantFold
     uint64_t skipSymbols = 0;
     uint64_t skipJumps = 0;
 
-    /** Attribute one session's stats delta. The whole delta lands on
-     *  the phase the session ended the feed in — a feed spanning a
-     *  hot-set handover splits at feed, not cycle, granularity. */
+    /** Attribute one session's stats delta to the core the session
+     *  ran the feed on (a stream never switches cores). */
     void
     addDelta(const SessionStats &before, const SessionStats &after,
              const EngineSession &session)
@@ -390,9 +389,10 @@ MatchService::checkoutLocked(std::unique_lock<std::mutex> *lock,
         ++stats_.resumes;
         resumesCounter().add(1);
     }
-    // restart()/resume() may build a nominated DFA or split over the
-    // whole automaton: run it unlocked, so other streams and tenants
-    // keep feeding. The busy flag keeps this stream ours meanwhile.
+    // restart()/resume() may build a decided automaton's DFA or split
+    // over the whole automaton: run it unlocked, so other streams and
+    // tenants keep feeding. The busy flag keeps this stream ours
+    // meanwhile.
     lock->unlock();
     if (fresh)
         session->restart();

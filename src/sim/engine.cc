@@ -28,7 +28,6 @@ recordRun(const SimResult &result, size_t cycles,
     static telemetry::Counter cycle_count("engine.cycles");
     static telemetry::Counter reports("engine.reports");
     static telemetry::Counter dense_runs("engine.dense_runs");
-    static telemetry::Counter handovers("engine.dense_handovers");
     static telemetry::Counter dense_cycles("engine.dense_cycles");
     static telemetry::Counter skip_cycles("engine.dense_skip_cycles");
     static telemetry::Counter live_words("engine.dense_live_words");
@@ -55,8 +54,6 @@ recordRun(const SimResult &result, size_t cycles,
         split_cycles.add(cycles);
     if (result.usedDenseCore && dense) {
         dense_runs.add(1);
-        if (st.handedOver)
-            handovers.add(1);
         const DenseCore::StepStats &ds = dense->stepStats();
         dense_cycles.add(ds.cycles);
         skip_cycles.add(ds.skipCycles);

@@ -28,16 +28,11 @@
  *    sparse core that holds only them. Wins on large, sparse rule sets
  *    (Snort) whose whole automaton will not determinize. Auto only.
  *
- * The default *auto* mode runs the automaton's DFA from cycle 0
- * whenever one is already built (at daemon load, by a store attach, or
- * by an earlier nomination), else its split whenever that is built.
- * Otherwise it probes the live-set density over the first cycles on
- * the sparse core and hands the in-flight run over to the dense core
- * when the automaton runs dense (see docs/PERFORMANCE.md). The probe's
- * verdict nominates one build for the next run: a handover the whole
- * DFA (automata <= kMaxAutoDfaStates), a declined probe the split. A
- * split run whose sparse side reaches the probe's dense threshold
- * retires the split, and later runs probe again.
+ * The default *auto* mode decides the core once per automaton
+ * (FlatAutomaton::decideCore): the sparse core's work over the first
+ * kProbeCycles symbols of a calibration input, against the dense
+ * core's word-sweep cost (see docs/PERFORMANCE.md). Every run starts on
+ * its core at cycle 0 and never switches (sim/session.h has the order).
  * SPARSEAP_ENGINE=sparse|dense|dfa|auto overrides.
  */
 
@@ -113,11 +108,10 @@ class Engine
 
     /**
      * The core the most recent run actually executed on — the
-     * configured mode with auto/bailout resolution applied (Sparse
-     * when the auto probe declined or never decided, Dense after a
-     * handover or DFA budget bailout, Dfa on the table, Split on the
-     * hot/cold split). Before the
-     * first run this is the configured mode's default resolution.
+     * configured mode with auto/bailout resolution applied (Sparse or
+     * Dense on the plain cores, Dfa on the table, Split on the hot/cold
+     * split). Before the first run this is the configured mode's
+     * default resolution.
      * SimResult's usedDenseCore/usedDfa flags carry the same
      * information per result; this accessor reads it off the engine
      * without threading the result around.
@@ -136,7 +130,7 @@ class Engine
     bool inputSkip() const { return skip_enabled_; }
 
     /** Auto-mode heuristic constants (documented in PERFORMANCE.md). */
-    /** Cycles sampled on the sparse core before deciding. */
+    /** Calibration symbols the core decision steps on the sparse core. */
     static constexpr size_t kProbeCycles = 128;
     /**
      * The hot/cold split's layer cut: states at topological layer <=
@@ -145,22 +139,33 @@ class Engine
      */
     static constexpr uint32_t kSplitLayers = 3;
     /**
-     * Hand over when the sparse core's measured per-cycle work (dynamic
-     * enabled states + dispatch-table matches) exceeds this many units
+     * Run dense when the sparse core's measured per-cycle work (dynamic
+     * enabled states + dispatch-table matches) reaches this many units
      * per 64-state word — the point where the dense core's fixed sweep
      * is cheaper than the sparse core's pointer chasing.
      */
     static constexpr size_t kDenseWorkPerWord = 2;
-    /** Never hand over below this size: one word sweep covers it. */
+    /** Never decide below this size: one word sweep covers it. */
     static constexpr size_t kMinDenseStates = 256;
     /**
      * Auto mode attempts determinization only for automata at most
-     * this large (and only after a dense handover proved the live set
-     * dense): hot partitions qualify, full rule-set automata — whose
-     * subset construction would blow the budget anyway — skip the
-     * attempt entirely.
+     * this large (and only for a dense verdict): hot partitions
+     * qualify, full rule-set automata — whose subset construction
+     * would blow the budget anyway — skip the attempt entirely.
      */
     static constexpr size_t kMaxAutoDfaStates = 4096;
+
+    /**
+     * Sparse-core work over kProbeCycles symbols at which an automaton
+     * of @p states runs dense: the dense core's fixed per-word sweep
+     * cost over the same symbols.
+     */
+    static constexpr uint64_t
+    denseWorkThreshold(size_t states)
+    {
+        return uint64_t{kProbeCycles} * kDenseWorkPerWord *
+               wordsForBits(states);
+    }
 
   private:
     const FlatAutomaton &fa_;
@@ -168,9 +173,9 @@ class Engine
     /**
      * The engine is a thin shell over a suspendable session
      * (sim/session.h): run() = restart + one whole-input feed. Cross-
-     * run state — a pending nomination, the dense core, report-
-     * capacity reuse — lives in the session, so the chunked and
-     * whole-input paths are one implementation.
+     * run state — the dense core, report-capacity reuse — lives in the
+     * session, so the chunked and whole-input paths are one
+     * implementation.
      */
     std::unique_ptr<EngineSession> session_;
     bool skip_enabled_; ///< quiescence input skip (see setInputSkip)

@@ -41,12 +41,12 @@
  * Invariant: lists built by a filtered step are incomplete, so
  * snapshotEnabled() and saveState() may only see lists built by
  * unfiltered steps. EngineSession steps the last symbol of every chunk
- * (where it suspends) and the whole probe window (where it hands over)
- * without lookahead, so handover, suspend and resume stay exact.
- * Measured work stays unfiltered for the same reason: the probe and the
- * split's measurement window weigh lastStepWork() against the dense
- * core's cost. SpAP mode (runSpapMode) steps without lookahead because
- * its idle()/jump decisions are simulated statistics of the fabric, and
+ * (where it suspends) without lookahead, so suspend and resume stay
+ * exact. Measured work stays unfiltered too: the core decision
+ * (FlatAutomaton::decideCore) and SpAP's in-run handover weigh
+ * lastStepWork() against the dense core's cost. SpAP mode
+ * (runSpapMode) steps without lookahead because its idle()/jump
+ * decisions are simulated statistics of the fabric, and
  * a run with a HotStateProfiler attached ignores the lookahead because
  * a profile records every *enabled* state, filtered or not.
  */

@@ -4,8 +4,9 @@
 #include <unordered_map>
 
 #include "common/logging.h"
+#include "sim/engine.h"
+#include "sim/exec_core.h"
 #include "sim/hot_dfa.h"
-#include "telemetry/metrics.h"
 #include "telemetry/trace.h"
 
 namespace sparseap {
@@ -292,17 +293,68 @@ FlatAutomaton::ensureSplit() const
 std::shared_ptr<const HotDfa>
 FlatAutomaton::splitIfBuilt() const
 {
-    if (split_retired_.load(std::memory_order_relaxed))
-        return nullptr;
     return split_.ifBuilt();
 }
 
-void
-FlatAutomaton::retireSplit() const
+std::optional<CoreDecision>
+FlatAutomaton::decideCore(std::span<const uint8_t> calibration,
+                          const Bitset256 &alphabet) const
 {
-    static telemetry::Counter retirements("split.retirements");
-    if (!split_retired_.exchange(true, std::memory_order_relaxed))
-        retirements.add(1);
+    if (size() < Engine::kMinDenseStates ||
+        calibration.size() < Engine::kProbeCycles)
+        return coreDecision();
+    decision_.ensure([&] {
+        // Unfiltered steps: a lookahead step enqueues fewer states, so
+        // it would measure less than the dense core's real rival.
+        ExecCore core(*this);
+        core.reset(alphabet, nullptr, /*install_starts=*/true);
+        CoreDecision d;
+        for (size_t i = 0; i < Engine::kProbeCycles; ++i) {
+            core.step(calibration[i], i, nullptr);
+            d.work += core.lastStepWork();
+        }
+        d.threshold = Engine::denseWorkThreshold(size());
+        d.dense = d.work >= d.threshold;
+        if (d.dense && size() > Engine::kMaxAutoDfaStates)
+            d.table = CoreDecision::Table::AboveCap;
+        debugLog("core decision over ", size(), " states: ",
+                 d.describe());
+        return std::optional<CoreDecision>(d);
+    });
+    return coreDecision();
+}
+
+std::optional<CoreDecision>
+FlatAutomaton::coreDecision() const
+{
+    std::optional<CoreDecision> d = decision_.ifBuilt();
+    const auto &slot = d && d->dense ? hot_dfa_ : split_;
+    if (d && d->table == CoreDecision::Table::Pending &&
+        slot.ready.load(std::memory_order_acquire))
+        d->table = slot.value ? CoreDecision::Table::Built
+                              : CoreDecision::Table::Bailed;
+    return d;
+}
+
+std::shared_ptr<const HotDfa>
+FlatAutomaton::decidedTable() const
+{
+    const std::optional<CoreDecision> d = decision_.ifBuilt();
+    if (!d || d->table == CoreDecision::Table::AboveCap)
+        return nullptr;
+    return d->dense ? ensureHotDfa() : ensureSplit();
+}
+
+std::string
+CoreDecision::describe() const
+{
+    static constexpr const char *kTable[] = {
+        "pending", "built", "bailed", "above the size cap"};
+    return detail::concat(
+        dense ? "dense" : "sparse", " core (work ", work, " = ",
+        (work * 100 + threshold / 2) / threshold, "% of threshold ",
+        threshold, "), ", dense ? "DFA " : "split ",
+        kTable[static_cast<size_t>(table)]);
 }
 
 void

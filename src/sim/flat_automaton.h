@@ -31,9 +31,12 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <span>
+#include <string>
 #include <vector>
 
+#include "common/bitset256.h"
 #include "common/vec.h"
 #include "common/word_vector.h"
 #include "nfa/application.h"
@@ -41,6 +44,26 @@
 namespace sparseap {
 
 class HotDfa;
+
+/** Auto mode's core decision (FlatAutomaton::decideCore) and why. */
+struct CoreDecision
+{
+    /** What came of the verdict's table (FlatAutomaton::decidedTable). */
+    enum class Table : uint8_t {
+        Pending,  ///< not attempted: the deciding run builds nothing
+        Built,    ///< the whole DFA (dense) or the split (sparse)
+        Bailed,   ///< over the HotDfa budget: the plain core
+        AboveCap, ///< dense above Engine::kMaxAutoDfaStates: no DFA
+    };
+
+    bool dense = false;     ///< verdict: dense core, else sparse
+    uint64_t work = 0;      ///< sparse work over the calibration
+    uint64_t threshold = 0; ///< Engine::denseWorkThreshold
+    Table table = Table::Pending;
+
+    /** One line: the core, work against threshold and the table. */
+    std::string describe() const;
+};
 
 /** Immutable flattened automaton built from a (finalized) Application. */
 class FlatAutomaton
@@ -379,19 +402,33 @@ class FlatAutomaton
      */
     std::shared_ptr<const HotDfa> ensureSplit() const;
 
-    /**
-     * The split auto may start streams on: built and not retired; null
-     * otherwise (never builds).
-     */
+    /** The split if already built; null otherwise (never builds). */
     std::shared_ptr<const HotDfa> splitIfBuilt() const;
 
     /**
-     * Stop auto from starting streams on the split, because a stream on
-     * it measured its sparse side running dense (EngineSession). One
-     * way; streams already on the split finish on it, and a parked one
-     * still resumes through ensureSplit().
+     * Auto mode's core decision, made once per automaton and
+     * debug-logged: the sparse core steps the first Engine::kProbeCycles
+     * bytes of @p calibration over @p alphabet without lookahead, and
+     * the verdict is dense when its work reaches
+     * Engine::denseWorkThreshold. Concurrent first callers make one
+     * decision. Nothing below Engine::kMinDenseStates is decided (it
+     * runs sparse), and a shorter calibration decides nothing.
+     *
+     * @return the decision, made now or earlier; nullopt if none
      */
-    void retireSplit() const;
+    std::optional<CoreDecision>
+    decideCore(std::span<const uint8_t> calibration,
+               const Bitset256 &alphabet) const;
+
+    /** The decision if made; nullopt otherwise (never decides). */
+    std::optional<CoreDecision> coreDecision() const;
+
+    /**
+     * The verdict's table, attempted once: the whole DFA for a dense
+     * verdict (up to Engine::kMaxAutoDfaStates states), the split for a
+     * sparse one. Null on a bailout, above the cap, or undecided.
+     */
+    std::shared_ptr<const HotDfa> decidedTable() const;
 
     /**
      * Flat snapshot of every array of this automaton *and* its dense
@@ -476,34 +513,36 @@ class FlatAutomaton
     mutable std::once_flag dense_once_;
     mutable std::unique_ptr<DenseView> dense_;
 
-    /** One-shot DFA slot: `ready` (acquire/release) publishes `dfa`,
-     *  which may be null after a budget bailout. */
-    struct DfaSlot
+    /** One-shot slot: `ready` (acquire/release) publishes `value`,
+     *  which may be empty — a budget bailout, or no decision. */
+    template <typename T>
+    struct OnceSlot
     {
         std::once_flag once;
-        std::shared_ptr<const HotDfa> dfa;
+        T value{};
         std::atomic<bool> ready{false};
 
         template <typename Build>
-        std::shared_ptr<const HotDfa>
+        T
         ensure(Build &&build)
         {
             std::call_once(once, [&] {
-                dfa = build();
+                value = build();
                 ready.store(true, std::memory_order_release);
             });
-            return dfa;
+            return value;
         }
 
-        std::shared_ptr<const HotDfa>
+        T
         ifBuilt() const
         {
-            return ready.load(std::memory_order_acquire) ? dfa : nullptr;
+            return ready.load(std::memory_order_acquire) ? value : T{};
         }
     };
-    mutable DfaSlot hot_dfa_;
-    mutable DfaSlot split_;
-    mutable std::atomic<bool> split_retired_{false};
+    mutable OnceSlot<std::shared_ptr<const HotDfa>> hot_dfa_;
+    mutable OnceSlot<std::shared_ptr<const HotDfa>> split_;
+    /** coreDecision() reads a pending table off hot_dfa_ or split_. */
+    mutable OnceSlot<std::optional<CoreDecision>> decision_;
 };
 
 } // namespace sparseap

@@ -4,7 +4,6 @@
 
 #include "common/logging.h"
 #include "common/vec.h"
-#include "common/word_vector.h"
 #include "sim/dense_core.h"
 #include "sim/engine.h"
 #include "sim/hot_dfa.h"
@@ -26,17 +25,6 @@ namespace {
  */
 constexpr uint64_t kAdaptJumps = 64;
 constexpr uint64_t kMinBytesPerJump = 4;
-
-/**
- * Probe work at which the dense core pays off: its fixed per-word sweep
- * cost over the probe window.
- */
-uint64_t
-denseWorkThreshold(const FlatAutomaton &fa)
-{
-    return static_cast<uint64_t>(Engine::kProbeCycles) *
-           Engine::kDenseWorkPerWord * wordsForBits(fa.size());
-}
 
 void
 countChunks(uint64_t n)
@@ -86,7 +74,7 @@ EngineSession::resolvedMode() const
 {
     switch (phase_) {
     case Phase::Sparse:
-    case Phase::Probe:
+    case Phase::Undecided:
         return EngineMode::Sparse;
     case Phase::Dense:
         return EngineMode::Dense;
@@ -104,26 +92,11 @@ EngineSession::restart(HotStateProfiler *profiler)
     static telemetry::Counter streams("session.streams");
     streams.add(1);
 
-    // The previous auto stream's probe nominates a build for the
-    // *next* stream (Engine::run parity): a handover the whole DFA (the
-    // measured work that chose the dense core also argues the automaton
-    // runs hot enough to determinize), a declined probe the split (a
-    // sparse automaton whose shallow layers carry the traffic). These
-    // are the only builds auto starts; the automaton caches its one
-    // attempt at each, bailout included.
-    if (pending_nomination_ == Nomination::Dfa &&
-        fa_.size() <= Engine::kMaxAutoDfaStates)
-        fa_.ensureHotDfa();
-    else if (pending_nomination_ == Nomination::Split)
-        fa_.ensureSplit();
-    pending_nomination_ = Nomination::None;
-
     offset_ = 0;
     report_capacity_ = std::max(report_capacity_, reports_.size());
     reports_.clear();
     reports_.reserve(report_capacity_);
     stats_ = SessionStats{};
-    probe_work_ = 0;
     dfa_state_ = 0;
     dfa_scanning_ = true;
     skip_base_symbols_ = 0;
@@ -141,29 +114,36 @@ EngineSession::startCore(EngineMode mode, HotStateProfiler *profiler)
 {
     SPARSEAP_ASSERT(mode != EngineMode::Split,
                     "split is a resolved core, not a configured mode");
-    // Pinned dfa determinizes (a bailout, logged by HotDfa::build, runs
-    // dense). Auto runs the automaton's DFA from cycle 0 whenever one is
-    // built — at daemon load, by a store attach, or by an earlier
-    // stream's nomination — else its split whenever that is built, and
-    // never determinizes here.
-    if (mode == EngineMode::Dfa || mode == EngineMode::Auto) {
-        dfa_ = mode == EngineMode::Dfa ? fa_.ensureHotDfa()
-                                       : fa_.hotDfaIfBuilt();
-        if (dfa_) {
+    // Auto never switches a stream's core: a built DFA, a built split,
+    // the decided automaton's table, the verdict's plain core, or — on
+    // an undecided automaton — the first chunk's say (feed()).
+    if (mode == EngineMode::Auto) {
+        if ((dfa_ = fa_.hotDfaIfBuilt())) {
             phase_ = Phase::Dfa;
             return;
         }
+        if ((dfa_ = fa_.splitIfBuilt())) {
+            startSplit();
+            return;
+        }
+        const std::optional<CoreDecision> d = fa_.coreDecision();
+        if (!d && fa_.size() >= Engine::kMinDenseStates) {
+            phase_ = Phase::Undecided;
+            return;
+        }
+        if (d && (dfa_ = fa_.decidedTable())) {
+            if (d->dense)
+                phase_ = Phase::Dfa;
+            else
+                startSplit();
+            return;
+        }
+        mode = d && d->dense ? EngineMode::Dense : EngineMode::Sparse;
     }
-    if (mode == EngineMode::Auto && (dfa_ = fa_.splitIfBuilt())) {
-        // The cold side steps the split's merged automaton and starts
-        // empty: only the hot→cold enables (and the cold starts, state
-        // 0's list) ever enable its states.
-        ExecCore &cold =
-            sparseCore(dfa_->coldAutomaton(), dfa_->originalIds());
-        cold.reset(config_.alphabet, nullptr, /*install_starts=*/false);
-        for (GlobalStateId s : dfa_->coldEnables(0))
-            cold.enableState(s);
-        phase_ = Phase::Split;
+    // Pinned dfa determinizes (a bailout, logged by HotDfa::build, runs
+    // dense).
+    if (mode == EngineMode::Dfa && (dfa_ = fa_.ensureHotDfa())) {
+        phase_ = Phase::Dfa;
         return;
     }
     if (mode == EngineMode::Dense || mode == EngineMode::Dfa) {
@@ -174,108 +154,67 @@ EngineSession::startCore(EngineMode mode, HotStateProfiler *profiler)
     }
     sparseCore(fa_).reset(config_.alphabet, profiler,
                           /*install_starts=*/true);
-    // The probe needs more than kProbeCycles stream symbols to ever
-    // decide; with fewer the stream just ran sparse — exactly the
-    // n > kProbeCycles gate of a whole-input run, evaluated lazily.
-    phase_ = mode == EngineMode::Auto &&
-                     fa_.size() >= Engine::kMinDenseStates
-                 ? Phase::Probe
-                 : Phase::Sparse;
+    phase_ = Phase::Sparse;
 }
 
 void
-EngineSession::decideHandover()
+EngineSession::startSplit()
 {
-    if (probe_work_ >= denseWorkThreshold(fa_)) {
-        // Dense from here on, for the rest of the stream: hand the
-        // in-flight enabled set over. The decision is made exactly once
-        // per stream, at the same global cycle a whole-input run
-        // decides — never re-probed on later chunks.
-        std::vector<GlobalStateId> live;
-        core_->snapshotEnabled(&live);
-        ensureDense();
-        dense_->reset(/*install_starts=*/false);
-        dense_->seed(live);
-        phase_ = Phase::Dense;
-        stats_.handedOver = true;
-        pending_nomination_ = Nomination::Dfa;
-    } else {
-        phase_ = Phase::Sparse; // committed: no further probing
-        pending_nomination_ = Nomination::Split;
-    }
+    // The cold side steps the split's merged automaton and starts
+    // empty: only the hot→cold enables (and the cold starts, state 0's
+    // list) ever enable its states.
+    ExecCore &cold = sparseCore(dfa_->coldAutomaton(), dfa_->originalIds());
+    cold.reset(config_.alphabet, nullptr, /*install_starts=*/false);
+    for (GlobalStateId s : dfa_->coldEnables(0))
+        cold.enableState(s);
+    phase_ = Phase::Split;
 }
 
 void
-EngineSession::decideSplit()
-{
-    // The split stream's own probe: its sparse side (the cold core's
-    // measured work plus one unit per hot→cold enable) over the first
-    // kProbeCycles symbols, against the threshold the probe hands over
-    // at. Past it the deep states carry the traffic and the automaton
-    // runs dense even when split, so later streams probe again; this
-    // one finishes on the split. Automata too small to ever run dense
-    // keep it, as they skip the probe.
-    if (fa_.size() >= Engine::kMinDenseStates &&
-        probe_work_ >= denseWorkThreshold(fa_))
-        fa_.retireSplit();
-}
-
-size_t
-EngineSession::feedDense(std::span<const uint8_t> chunk, size_t i)
+EngineSession::feedDense(std::span<const uint8_t> chunk)
 {
     const size_t n = chunk.size();
     if (config_.inputSkip) {
-        while (i < n) {
+        for (size_t i = 0; i < n; ++i) {
             i += dense_->trySkip(chunk.data() + i, n - i);
-            if (i >= n)
-                break;
-            dense_->step(chunk[i], offset_ + i, &reports_);
-            ++i;
+            if (i < n)
+                dense_->step(chunk[i], offset_ + i, &reports_);
         }
     } else {
-        for (; i < n; ++i)
+        for (size_t i = 0; i < n; ++i)
             dense_->step(chunk[i], offset_ + i, &reports_);
     }
     const DenseCore::StepStats &ds = dense_->stepStats();
     stats_.skippedSymbols = skip_base_symbols_ + ds.skippedSymbols;
     stats_.skipJumps = skip_base_jumps_ + ds.jumps;
     stats_.usedDenseCore = true;
-    return n;
 }
 
-template <bool kSplit, bool kMeasure>
-size_t
-EngineSession::feedTable(std::span<const uint8_t> chunk, size_t i)
+template <bool kSplit>
+void
+EngineSession::feedTable(std::span<const uint8_t> chunk)
 {
     const size_t n = chunk.size();
     const HotDfa &dfa = *dfa_;
     uint32_t state = dfa_state_;
     // One symbol: the table step and its reports, then — split only —
-    // the cold core's step (a no-op while idle, so skipped) and the new
-    // DFA state's hot→cold enables for the next symbol, both counted
-    // as probe work while kMeasure. Past the measurement window the
-    // cold step takes the next byte as lookahead, except at the chunk's
-    // end, where the stream may suspend. The cold core steps the merged
-    // automaton and emits its reports under original ids (sparseCore).
-    // Hot reports precede cold ones within a position. Forced inline: an
-    // outlined call keeps `state` in memory and costs the DFA loop ~10%.
+    // the cold core's step (a no-op while idle, so skipped), with the
+    // next byte as lookahead except at the chunk's end, where the
+    // stream may suspend, and the new DFA state's hot→cold enables for
+    // the next symbol. The cold core steps the merged automaton and
+    // emits its reports under original ids (sparseCore). Hot reports
+    // precede cold ones within a position. Forced inline: an outlined
+    // call keeps `state` in memory and costs the DFA loop ~10%.
     auto step = [&](size_t j) __attribute__((always_inline)) {
         state = dfa.next(state, chunk[j]);
         for (GlobalStateId id : dfa.reportsOf(state))
             reports_.push_back({offset_ + j, id});
         if constexpr (kSplit) {
-            if (!core_->idle()) {
+            if (!core_->idle())
                 core_->step(chunk[j], offset_ + j, &reports_,
-                            !kMeasure && j + 1 < n ? chunk[j + 1]
-                                                   : ExecCore::kNoLookahead);
-                if constexpr (kMeasure)
-                    probe_work_ += core_->lastStepWork();
-            }
-            const std::span<const GlobalStateId> enables =
-                dfa.coldEnables(state);
-            if constexpr (kMeasure)
-                probe_work_ += enables.size();
-            for (GlobalStateId s : enables)
+                            j + 1 < n ? chunk[j + 1]
+                                      : ExecCore::kNoLookahead);
+            for (GlobalStateId s : dfa.coldEnables(state))
                 core_->enableState(s);
         }
     };
@@ -284,10 +223,9 @@ EngineSession::feedTable(std::span<const uint8_t> chunk, size_t i)
         // the gate counters and the scanning flag persist across
         // chunks, so a long boring stream gives up scanning once, not
         // once per chunk. The split skips only while its cold core is
-        // idle (a skippable state enables no cold state), so a skipped
-        // symbol is one that would have measured no work.
+        // idle (a skippable state enables no cold state).
         const simd::Ops &ops = simd::ops();
-        while (i < n) {
+        for (size_t i = 0; i < n; ++i) {
             const simd::ScanMask *m =
                 dfa_scanning_ && (!kSplit || core_->idle())
                     ? dfa.skipMask(state)
@@ -306,15 +244,13 @@ EngineSession::feedTable(std::span<const uint8_t> chunk, size_t i)
                     dfa_scanning_ = false;
             }
             step(i);
-            ++i;
         }
     } else {
-        for (; i < n; ++i)
+        for (size_t i = 0; i < n; ++i)
             step(i);
     }
     dfa_state_ = state;
     (kSplit ? stats_.usedSplit : stats_.usedDfa) = true;
-    return n;
 }
 
 void
@@ -323,45 +259,39 @@ EngineSession::feed(std::span<const uint8_t> chunk)
     ++stats_.chunks;
     countChunks(1);
     const size_t n = chunk.size();
-    size_t i = 0;
 
-    if (phase_ == Phase::Probe) {
-        // The decision point is the arrival of stream symbol
-        // kProbeCycles (0-based): the first kProbeCycles symbols ran
-        // sparse and their work is in; a whole-input run would decide
-        // here too. A stream that ends earlier just ran sparse.
-        while (i < n && offset_ + i < Engine::kProbeCycles) {
-            core_->step(chunk[i], offset_ + i, &reports_);
-            probe_work_ += core_->lastStepWork();
-            ++i;
-        }
-        if (phase_ == Phase::Probe &&
-            offset_ + i >= Engine::kProbeCycles && i < n)
-            decideHandover();
+    // An undecided automaton's first chunk of kProbeCycles bytes decides
+    // it, and the stream runs the verdict's plain core from symbol 0;
+    // a shorter one runs sparse. Empty chunks resolve nothing.
+    if (phase_ == Phase::Undecided && n != 0) {
+        const std::optional<CoreDecision> d =
+            fa_.decideCore(chunk, config_.alphabet);
+        startCore(d && d->dense ? EngineMode::Dense : EngineMode::Sparse,
+                  nullptr);
     }
 
-    if (phase_ == Phase::Sparse || phase_ == Phase::Probe) {
-        // Committed: every symbol but the chunk's last (where the stream
-        // may suspend) steps with the next byte as lookahead.
+    switch (phase_) {
+    case Phase::Undecided:
+        break;
+    case Phase::Sparse: {
+        // Every symbol but the chunk's last (where the stream may
+        // suspend) steps with the next byte as lookahead.
+        size_t i = 0;
         for (; i + 1 < n; ++i)
             core_->step(chunk[i], offset_ + i, &reports_, chunk[i + 1]);
         if (i < n)
             core_->step(chunk[i], offset_ + i, &reports_);
-    } else if (phase_ == Phase::Dense) {
-        i = feedDense(chunk, i);
-    } else if (phase_ == Phase::Dfa) {
-        i = feedTable<false, false>(chunk, i);
-    } else if (phase_ == Phase::Split) {
-        // Measured over the stream's first kProbeCycles symbols however
-        // they are chunked; decided once, when the last of them is in.
-        if (offset_ < Engine::kProbeCycles) {
-            const size_t m = static_cast<size_t>(std::min<uint64_t>(
-                n, Engine::kProbeCycles - offset_));
-            i = feedTable<true, true>(chunk.first(m), i);
-            if (offset_ + m == Engine::kProbeCycles)
-                decideSplit();
-        }
-        i = feedTable<true, false>(chunk, i);
+        break;
+    }
+    case Phase::Dense:
+        feedDense(chunk);
+        break;
+    case Phase::Dfa:
+        feedTable<false>(chunk);
+        break;
+    case Phase::Split:
+        feedTable<true>(chunk);
+        break;
     }
 
     offset_ += n;
@@ -388,14 +318,11 @@ EngineSession::suspend() const
     snap.config = config_;
     snap.phase = static_cast<uint8_t>(phase_);
     snap.offset = offset_;
-    snap.probeWork = probe_work_;
     snap.dfaState = dfa_state_;
     snap.dfaScanning = dfa_scanning_;
-    snap.pendingNomination = pending_nomination_;
     snap.stats = stats_;
     switch (phase_) {
     case Phase::Sparse:
-    case Phase::Probe:
     case Phase::Split: // plus dfaState, the hot side
         if (core_) // null only before the first restart()
             core_->saveState(&snap.sparse);
@@ -403,8 +330,9 @@ EngineSession::suspend() const
     case Phase::Dense:
         dense_->snapshotEnabled(&snap.dense);
         break;
-    case Phase::Dfa:
-        break; // dfaState is the whole execution state
+    case Phase::Undecided: // resumes as restart() would
+    case Phase::Dfa:       // dfaState is the whole execution state
+        break;
     }
     snapshot_bytes.add(snap.byteSize());
     return snap;
@@ -416,18 +344,16 @@ EngineSession::resume(const Snapshot &snap)
     config_ = snap.config;
     phase_ = static_cast<Phase>(snap.phase);
     offset_ = snap.offset;
-    probe_work_ = snap.probeWork;
     dfa_state_ = snap.dfaState;
     dfa_scanning_ = snap.dfaScanning;
-    pending_nomination_ = snap.pendingNomination;
     stats_ = snap.stats;
     reports_.clear();
     skip_base_symbols_ = 0;
     skip_base_jumps_ = 0;
 
     // An auto stream parked before its first symbol has no state to
-    // carry: it starts over like restart(), on a DFA or split built
-    // since.
+    // carry: it resolves its core like restart(), on whatever the
+    // automaton has built or decided since.
     if (config_.mode == EngineMode::Auto && offset_ == 0) {
         startCore(EngineMode::Auto, nullptr);
         return;
@@ -435,9 +361,10 @@ EngineSession::resume(const Snapshot &snap)
 
     switch (phase_) {
     case Phase::Sparse:
-    case Phase::Probe:
         sparseCore(fa_).restoreState(config_.alphabet, snap.sparse);
         break;
+    case Phase::Undecided:
+        break; // only ever at offset 0, resolved above
     case Phase::Dense:
         ensureDense();
         dense_->reset(/*install_starts=*/false);

@@ -45,7 +45,7 @@ runSpapMode(const FlatAutomaton &fa, std::span<const uint8_t> input,
         sparse->reset(ExecCore::distinctBytes(input), nullptr,
                       /*install_starts=*/false);
     }
-    const bool may_probe =
+    const bool may_hand_over =
         mode == EngineMode::Auto && fa.size() >= Engine::kMinDenseStates;
     uint64_t work_acc = 0;
 
@@ -98,24 +98,22 @@ runSpapMode(const FlatAutomaton &fa, std::span<const uint8_t> input,
         ++result.consumedCycles;
         ++i;
 
-        // Auto handover, with Engine::run's probe: after kProbeCycles
-        // *consumed* cycles on the sparse core, hand the in-flight
-        // enabled set to the dense core when the measured sparse work
-        // exceeds a word sweep — an over-capacity cold batch that runs
-        // hot then pays O(live words) per cycle instead of list chasing.
-        if (sparse && may_probe &&
-            result.consumedCycles == Engine::kProbeCycles) {
-            const uint64_t threshold =
-                static_cast<uint64_t>(Engine::kProbeCycles) *
-                Engine::kDenseWorkPerWord * wordsForBits(fa.size());
-            if (work_acc >= threshold) {
-                std::vector<GlobalStateId> live;
-                sparse->snapshotEnabled(&live);
-                dense = std::make_unique<DenseCore>(fa);
-                dense->reset(/*install_starts=*/false);
-                dense->seed(live);
-                sparse.reset();
-            }
+        // In-run handover: after kProbeCycles *consumed* cycles on the
+        // sparse core, hand the in-flight enabled set to the dense core
+        // when the measured work reaches the core decision's threshold
+        // — an over-capacity cold batch that runs hot then pays O(live
+        // words) per cycle instead of list chasing. A batch runs once,
+        // and its idle()/jump decisions are simulated fabric
+        // statistics, so it measures its own run.
+        if (sparse && may_hand_over &&
+            result.consumedCycles == Engine::kProbeCycles &&
+            work_acc >= Engine::denseWorkThreshold(fa.size())) {
+            std::vector<GlobalStateId> live;
+            sparse->snapshotEnabled(&live);
+            dense = std::make_unique<DenseCore>(fa);
+            dense->reset(/*install_starts=*/false);
+            dense->seed(live);
+            sparse.reset();
         }
     }
     return result;

@@ -64,9 +64,9 @@ struct SpapResult
  *
  * Like Engine, the run can execute on either stepping core: @p mode
  * pins it, and Auto starts sparse then hands the in-flight enabled set
- * to the bit-parallel dense core when the measured per-cycle work of
- * the sparse core exceeds a live-word sweep (same probe and threshold
- * as Engine::run). Jumps, enable stalls, consumed cycles and the
+ * to the bit-parallel dense core when the sparse core's measured work
+ * over its first Engine::kProbeCycles consumed cycles reaches
+ * Engine::denseWorkThreshold, the core decision's threshold. Jumps, enable stalls, consumed cycles and the
  * report multiset are identical on every core — only report order
  * within one position may differ (callers sort).
  *

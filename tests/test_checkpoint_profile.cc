@@ -90,8 +90,8 @@ TEST(CheckpointProfile, HotSetsAreMonotone)
 
 TEST(CheckpointProfile, AllCoreModesProduceIdenticalProfiles)
 {
-    // The dense profiling path (bit-OR accumulation, with or without a
-    // mid-run handover) must produce the exact hot sets the sparse
+    // The dense profiling path (bit-OR accumulation, pinned or by a
+    // dense core decision) must produce the exact hot sets the sparse
     // enable hooks record — on every registered workload.
     for (const CatalogEntry &entry : appCatalog()) {
         SCOPED_TRACE(entry.abbr);

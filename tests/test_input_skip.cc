@@ -205,7 +205,7 @@ TEST(InputSkip, DenseCoreConsumedPlusSkippedCoversInput)
 
 /**
  * The headline differential: all 26 registered workloads, every engine
- * core that can skip (dense, DFA-with-fallback, auto handover), every
+ * core that can skip (dense, DFA-with-fallback, auto), every
  * supported SIMD tier — skip-on and skip-off report streams must be
  * byte-identical, in order, without sorting.
  */

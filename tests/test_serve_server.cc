@@ -307,10 +307,10 @@ TEST(ServeServer, EndToEndIdentityAcrossWorkloadsAndWorkers)
     // whole-input Engine::run, independent of the worker count. Every
     // input carries planted matches of its first pattern (EM's
     // synthesized input never reports on its own), so no workload
-    // compares empty streams. The second round reuses the first
-    // round's pooled sessions, whose restart materializes the probe's
-    // nominations: under auto, Snort's split runs from then on. A core
-    // pinned by SPARSEAP_ENGINE never splits; every other check holds.
+    // compares empty streams. Under auto, Snort's first stream decides
+    // it sparse and every stream opened after that builds or runs its
+    // split. A core pinned by SPARSEAP_ENGINE never splits; every other
+    // check holds.
     TestDaemon daemon({"Bro217", "Brill", "EM", "LV", "Snort"});
     const size_t tenants = daemon.names.size();
     for (size_t t = 0; t < tenants; ++t) {
@@ -359,6 +359,57 @@ TEST(ServeServer, EndToEndIdentityAcrossWorkloadsAndWorkers)
     if (globalOptions().engineMode == EngineMode::Auto) {
         EXPECT_GT(telemetry::snapshot().counters[snort_split],
                   split_before);
+    }
+}
+
+TEST(ServeServer, ThirtyTwoConnectionsOnDfaTenants)
+{
+    // 32 concurrent client connections, 8 per tenant, on tenants whose
+    // whole DFA is built before serving, as apserved builds it at load:
+    // under auto every stream runs the table, and the socket reports
+    // equal (as sorted digests) whole-input Engine::run, with planted
+    // matches so that every tenant reports, and no shed at this load.
+    TestDaemon daemon({"Bro217", "Brill", "EM", "LV"}, 64 * 1024);
+    const size_t tenants = daemon.names.size();
+    std::vector<uint64_t> dfa_before(tenants);
+    for (size_t t = 0; t < tenants; ++t) {
+        SCOPED_TRACE(daemon.names[t]);
+        ASSERT_NE(daemon.automata[t]->ensureHotDfa(), nullptr);
+        ASSERT_FALSE(daemon.matches[t].empty());
+        daemon.plantMatches(t, 4096);
+        EXPECT_GT(daemon.wholeInputReports(t).size(), 0u);
+        dfa_before[t] = telemetry::snapshot().counters[telemetry::labeledName(
+            "serve.dfa_cycles", daemon.names[t])];
+    }
+    ServerConfig scfg;
+    scfg.workers = 4;
+    daemon.start("dfa32", scfg);
+
+    constexpr size_t kStreams = 32;
+    std::vector<uint64_t> digests(kStreams);
+    std::vector<std::thread> threads;
+    for (size_t s = 0; s < kStreams; ++s) {
+        threads.emplace_back([&, s] {
+            const size_t tenant = s % tenants;
+            digests[s] = driveStream(daemon.socketPath, daemon.names[tenant],
+                                     s + 1, daemon.inputs[tenant],
+                                     16 * 1024);
+        });
+    }
+    for (std::thread &t : threads)
+        t.join();
+    for (size_t s = 0; s < kStreams; ++s)
+        EXPECT_EQ(digests[s], daemon.wholeInputDigest(s % tenants))
+            << "stream " << s;
+    EXPECT_EQ(daemon.service->openStreamCount(), 0u);
+    EXPECT_EQ(daemon.server->admission().stats().shed, 0u);
+    daemon.server->stop();
+    if (globalOptions().engineMode == EngineMode::Auto) {
+        for (size_t t = 0; t < tenants; ++t)
+            EXPECT_GT(telemetry::snapshot().counters[telemetry::labeledName(
+                          "serve.dfa_cycles", daemon.names[t])],
+                      dfa_before[t])
+                << daemon.names[t];
     }
 }
 

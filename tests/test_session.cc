@@ -3,13 +3,18 @@
  * EngineSession tests: the chunked-execution invariant — restart();
  * feed(c0); ...; feed(ck) produces a report stream byte-identical to one
  * Engine::run over the concatenation — on every registered workload,
- * every engine mode, chunk sizes from 1 byte to whole-input, with the
- * input skip on and off; plus suspend()/resume() round trips (including
- * cross-session migration and >4 GiB stream offsets) and a randomized
- * chunk-boundary differential over random automata.
+ * every engine mode (auto on a decided automaton), chunk sizes from 1
+ * byte to whole-input, with the input skip on and off; plus
+ * suspend()/resume() round trips (including cross-session migration and
+ * >4 GiB stream offsets), a randomized chunk-boundary differential over
+ * random automata, and auto's one core decision per automaton against
+ * the naive oracle.
  */
 
 #include <algorithm>
+#include <cstdio>
+#include <memory>
+#include <optional>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -34,6 +39,16 @@ wholeRun(const FlatAutomaton &fa, EngineMode mode, bool skip,
     Engine engine(fa, mode);
     engine.setInputSkip(skip);
     return engine.run(input);
+}
+
+/**
+ * Decide @p fa's core from @p input, as a first whole-input run would:
+ * auto runs on it are then byte-identical to Engine::run.
+ */
+void
+decide(const FlatAutomaton &fa, std::span<const uint8_t> input)
+{
+    fa.decideCore(input, ExecCore::distinctBytes(input));
 }
 
 /** Session config that matches Engine::run's resolution byte-for-byte:
@@ -89,6 +104,7 @@ TEST(Session, ChunkedMatchesWholeEveryWorkloadModeChunkSkip)
         const std::vector<uint8_t> input =
             synthesizeInput(w.input, bytes, input_rng);
         FlatAutomaton fa(w.app);
+        decide(fa, input);
 
         for (EngineMode mode : kAllModes) {
             for (bool skip : {false, true}) {
@@ -159,8 +175,8 @@ TEST(Session, DefaultAlphabetPreservesReportContent)
 /**
  * suspend()/resume() round trip, including migration to a *different*
  * session object: split the stream at assorted boundaries (first byte,
- * probe-decision cycle, mid-stream, last byte), park the stream, resume
- * it elsewhere, and require the concatenated report stream to be
+ * the calibration length, mid-stream, last byte), park the stream,
+ * resume it elsewhere, and require the concatenated report stream to be
  * byte-identical to the unsuspended run — in every mode.
  */
 TEST(Session, SuspendResumeMigratesAcrossSessions)
@@ -175,6 +191,7 @@ TEST(Session, SuspendResumeMigratesAcrossSessions)
         const std::vector<uint8_t> input =
             synthesizeInput(w.input, bytes, input_rng);
         FlatAutomaton fa(w.app);
+        decide(fa, input);
 
         for (EngineMode mode : kAllModes) {
             const SimResult want = wholeRun(fa, mode, true, input);
@@ -208,48 +225,6 @@ TEST(Session, SuspendResumeMigratesAcrossSessions)
             }
         }
     }
-}
-
-/**
- * The auto probe's sparse→dense handover must fire at the same global
- * cycle no matter how the stream is chunked — including a suspend in the
- * middle of the probe window — on an automaton where the handover
- * provably fires (hundreds of always-enabled starts).
- */
-TEST(Session, AutoHandoverSurvivesChunkingAndSuspend)
-{
-    Application app("dense", "D");
-    for (int i = 0; i < 300; ++i)
-        app.addNfa(compileRegex("ab", "p" + std::to_string(i)));
-    FlatAutomaton fa(app);
-    ASSERT_GE(fa.size(), Engine::kMinDenseStates);
-
-    std::vector<uint8_t> input(1000, 'a');
-    for (size_t i = 1; i < input.size(); i += 2)
-        input[i] = 'b';
-
-    const SimResult want =
-        wholeRun(fa, EngineMode::Auto, true, input);
-    ASSERT_TRUE(want.usedDenseCore);
-
-    const SessionConfig config =
-        engineParityConfig(EngineMode::Auto, true, input);
-
-    // 1-byte chunks across the probe decision.
-    EXPECT_EQ(chunkedReports(fa, config, input, 1), want.reports);
-
-    // Suspend inside the probe window, resume, finish.
-    EngineSession first(fa, config);
-    first.restart();
-    first.feed(std::span(input).first(Engine::kProbeCycles / 2));
-    ReportList got = first.takeReports();
-    EngineSession second(fa, config);
-    second.resume(first.suspend());
-    second.feed(std::span(input).subspan(Engine::kProbeCycles / 2));
-    EXPECT_TRUE(second.stats().handedOver);
-    const ReportList tail = second.takeReports();
-    got.insert(got.end(), tail.begin(), tail.end());
-    EXPECT_EQ(got, want.reports);
 }
 
 /**
@@ -321,6 +296,7 @@ TEST(Session, RandomizedChunkBoundaryDifferential)
         const std::vector<uint8_t> input =
             testing::randomInput(rng, 500, params.alphabetSize);
         FlatAutomaton fa(app);
+        decide(fa, input);
 
         const EngineMode mode = kAllModes[trial % 4];
         const bool skip = trial % 3 == 0;
@@ -363,17 +339,17 @@ TEST(Session, RandomizedChunkBoundaryDifferential)
 }
 
 /**
- * The probe measures unfiltered steps: on every registered workload, an
- * auto session fed the first kProbeCycles symbols in 7-byte chunks and
- * suspended there carries the work of a raw ExecCore stepped over the
- * same symbols without lookahead. A lookahead step enqueues fewer
- * states, so a probe that took it would measure less and could decline
- * a handover. Automata below the probe's size floor never probe.
+ * The decision measures unfiltered steps: on every registered workload,
+ * an auto stream whose first chunk is exactly kProbeCycles bytes
+ * decides its automaton with the work of a raw ExecCore stepped over
+ * them without lookahead. A lookahead step enqueues fewer states, so a
+ * calibration that took it would measure less and could decide sparse.
+ * Automata below the size floor are never decided.
  */
-TEST(Session, ProbeWorkIsMeasuredWithoutLookahead)
+TEST(Session, DecisionWorkIsMeasuredWithoutLookahead)
 {
     Rng input_rng(20181020);
-    size_t probed = 0;
+    size_t decided = 0;
     for (const auto &entry : appCatalog()) {
         SCOPED_TRACE(entry.abbr);
         Workload w = generateWorkload(entry.abbr, 7, 5);
@@ -386,27 +362,31 @@ TEST(Session, ProbeWorkIsMeasuredWithoutLookahead)
 
         EngineSession session(fa, config);
         session.restart();
-        for (size_t i = 0; i < input.size(); i += 7)
-            session.feed(std::span(input).subspan(
-                i, std::min<size_t>(7, input.size() - i)));
-        EXPECT_EQ(session.resolvedMode(), EngineMode::Sparse);
-        const EngineSession::Snapshot snap = session.suspend();
-
-        uint64_t want = 0;
-        if (fa.size() >= Engine::kMinDenseStates) {
-            ExecCore core(fa);
-            core.reset(config.alphabet, nullptr, /*install_starts=*/true);
-            ReportList reports;
-            for (size_t i = 0; i < input.size(); ++i) {
-                core.step(input[i], i, &reports);
-                want += core.lastStepWork();
-            }
-            EXPECT_GT(want, 0u);
-            ++probed;
+        session.feed(input);
+        const std::optional<CoreDecision> d = fa.coreDecision();
+        if (fa.size() < Engine::kMinDenseStates) {
+            EXPECT_FALSE(d.has_value());
+            EXPECT_EQ(session.resolvedMode(), EngineMode::Sparse);
+            continue;
         }
-        EXPECT_EQ(snap.probeWork, want);
+        ASSERT_TRUE(d.has_value());
+        ++decided;
+        ExecCore core(fa);
+        core.reset(config.alphabet, nullptr, /*install_starts=*/true);
+        ReportList reports;
+        uint64_t want = 0;
+        for (size_t i = 0; i < input.size(); ++i) {
+            core.step(input[i], i, &reports);
+            want += core.lastStepWork();
+        }
+        EXPECT_GT(want, 0u);
+        EXPECT_EQ(d->work, want);
+        EXPECT_EQ(d->threshold, Engine::denseWorkThreshold(fa.size()));
+        EXPECT_EQ(d->dense, d->work >= d->threshold);
+        EXPECT_EQ(session.resolvedMode(),
+                  d->dense ? EngineMode::Dense : EngineMode::Sparse);
     }
-    EXPECT_GT(probed, 0u);
+    EXPECT_GT(decided, 0u);
 }
 
 /** resolvedMode() reports the core actually running. */
@@ -482,8 +462,8 @@ sorted(ReportList reports)
 
 /**
  * Auto runs an already-built DFA from cycle 0: on Bro217 (below
- * kMinDenseStates, so it never probes) and Brill (where the probe
- * declines), a DFA built before the stream starts is what the stream
+ * kMinDenseStates, so it is never decided) and Brill (which decides
+ * sparse), a DFA built before the stream starts is what the stream
  * runs — and its reports are the pinned sparse core's.
  */
 TEST(Session, AutoRunsBuiltDfaFromFirstChunk)
@@ -570,24 +550,25 @@ TEST(Session, AutoDfaStreamSuspendResumes)
 }
 
 /**
- * Without a built DFA or split, auto is unchanged: Bro217 runs sparse,
- * Brill probes and declines, both byte-identical to Engine::run on
- * another DFA-less copy, and neither run determinizes anything. The
- * probe's verdict is the one trigger: Brill's declined probe nominates
- * the split for the next stream (Bro217 never probes, so it never
- * nominates), and a handover nominates determinization for the next
- * stream, which then starts on the table.
+ * The run that decides builds nothing; the next stream takes the
+ * decided automaton's table. Bro217 is below the size floor: never
+ * decided, always sparse, nothing built. Brill's first stream decides
+ * sparse and runs sparse, byte-identical to Engine::run on an undecided
+ * copy; the next stream builds and runs the split. An automaton of 300
+ * "ab" rules decides dense: the deciding stream runs the dense core
+ * from symbol 0, parked and resumed after its first chunk, and the
+ * next stream builds and runs the DFA. A first chunk shorter than
+ * kProbeCycles decides nothing.
  */
-TEST(Session, AutoWithoutBuiltDfaProbesAsBefore)
+TEST(Session, DecidingStreamBuildsNothing)
 {
     for (const char *abbr : {"Bro217", "Brill"}) {
         SCOPED_TRACE(abbr);
         const SmallWorkload sw(abbr);
         FlatAutomaton fa(sw.w.app);
         FlatAutomaton reference(sw.w.app);
-        // Bro217 is below the probe's size floor; Brill probes.
-        EXPECT_EQ(fa.size() >= Engine::kMinDenseStates,
-                  std::string(abbr) == "Brill");
+        const bool decides = fa.size() >= Engine::kMinDenseStates;
+        EXPECT_EQ(decides, std::string(abbr) == "Brill");
         const SimResult want =
             wholeRun(reference, EngineMode::Auto, true, sw.input);
         EXPECT_FALSE(want.usedDfa);
@@ -597,17 +578,15 @@ TEST(Session, AutoWithoutBuiltDfaProbesAsBefore)
             engineParityConfig(EngineMode::Auto, true, sw.input);
         EngineSession session(fa, config);
         session.restart();
-        EXPECT_EQ(session.resolvedMode(), EngineMode::Sparse);
         session.feed(sw.input);
+        EXPECT_EQ(session.resolvedMode(), EngineMode::Sparse);
         EXPECT_EQ(session.takeReports(), want.reports);
-        EXPECT_FALSE(session.stats().handedOver);
-        EXPECT_FALSE(session.stats().usedDfa);
+        EXPECT_EQ(fa.coreDecision().has_value(), decides);
         EXPECT_EQ(fa.splitIfBuilt(), nullptr);
         session.restart();
-        const bool probed = fa.size() >= Engine::kMinDenseStates;
         EXPECT_EQ(session.resolvedMode(),
-                  probed ? EngineMode::Split : EngineMode::Sparse);
-        EXPECT_EQ(fa.splitIfBuilt() != nullptr, probed);
+                  decides ? EngineMode::Split : EngineMode::Sparse);
+        EXPECT_EQ(fa.splitIfBuilt() != nullptr, decides);
         EXPECT_EQ(fa.hotDfaIfBuilt(), nullptr);
         EXPECT_EQ(reference.hotDfaIfBuilt(), nullptr);
         EXPECT_EQ(reference.splitIfBuilt(), nullptr);
@@ -617,18 +596,170 @@ TEST(Session, AutoWithoutBuiltDfaProbesAsBefore)
     for (int i = 0; i < 300; ++i)
         app.addNfa(compileRegex("ab", "p" + std::to_string(i)));
     FlatAutomaton fa(app);
+    ASSERT_GE(fa.size(), Engine::kMinDenseStates);
     std::vector<uint8_t> input(1000, 'a');
     for (size_t i = 1; i < input.size(); i += 2)
         input[i] = 'b';
-    EngineSession session(fa, engineParityConfig(EngineMode::Auto, true,
-                                                 input));
-    session.restart();
-    session.feed(input);
-    EXPECT_TRUE(session.stats().handedOver);
+    const ReportList want = testing::naiveSimulate(app, input);
+    const SessionConfig config =
+        engineParityConfig(EngineMode::Auto, true, input);
+
+    // Short first chunks run sparse and decide nothing.
+    EXPECT_EQ(sorted(chunkedReports(fa, config, input, 1)), want);
+    EXPECT_FALSE(fa.coreDecision().has_value());
+
+    EngineSession first(fa, config);
+    first.restart();
+    first.feed(std::span(input).first(Engine::kProbeCycles));
+    ASSERT_TRUE(fa.coreDecision().has_value());
+    EXPECT_TRUE(fa.coreDecision()->dense);
+    EXPECT_EQ(fa.coreDecision()->table, CoreDecision::Table::Pending);
+    ReportList got = first.takeReports();
+    EngineSession second(fa, config);
+    second.resume(first.suspend());
+    second.feed(std::span(input).subspan(Engine::kProbeCycles));
+    EXPECT_EQ(second.resolvedMode(), EngineMode::Dense);
+    EXPECT_TRUE(second.stats().usedDenseCore);
+    const ReportList tail = second.takeReports();
+    got.insert(got.end(), tail.begin(), tail.end());
+    EXPECT_EQ(sorted(got), want);
     EXPECT_EQ(fa.hotDfaIfBuilt(), nullptr);
-    session.restart();
+
+    second.restart();
     EXPECT_NE(fa.hotDfaIfBuilt(), nullptr);
-    EXPECT_EQ(session.resolvedMode(), EngineMode::Dfa);
+    EXPECT_EQ(fa.coreDecision()->table, CoreDecision::Table::Built);
+    EXPECT_EQ(second.resolvedMode(), EngineMode::Dfa);
+}
+
+/**
+ * @p input through auto streams on @p fa: the first chunk @p first
+ * bytes long, the rest random, parked into a fresh session before the
+ * first byte (sometimes) and at random chunk boundaries. @p resolved
+ * receives the core the stream ended on.
+ */
+ReportList
+parkedStream(const FlatAutomaton &fa, const SessionConfig &config,
+             std::span<const uint8_t> input, size_t first, Rng &rng,
+             EngineMode *resolved)
+{
+    auto session = std::make_unique<EngineSession>(fa, config);
+    auto park = [&] {
+        const EngineSession::Snapshot snap = session->suspend();
+        session = std::make_unique<EngineSession>(fa);
+        session->resume(snap);
+    };
+    session->restart();
+    if (rng.chance(0.5))
+        park();
+    ReportList got;
+    for (size_t at = 0; at < input.size();) {
+        const size_t take =
+            std::min(input.size() - at, at == 0 ? first : 1 + rng.index(97));
+        session->feed(input.subspan(at, take));
+        at += take;
+        const ReportList part = session->takeReports();
+        got.insert(got.end(), part.begin(), part.end());
+        if (rng.chance(0.3))
+            park();
+    }
+    *resolved = session->resolvedMode();
+    return got;
+}
+
+/**
+ * The oracle gate on auto's one decision per automaton. Random automata
+ * (dense ones over a narrow alphabet, sparse ones over a wide one) and
+ * rule sets with planted matches, all large enough to be decided. A
+ * first stream, its first chunk shorter or longer than kProbeCycles,
+ * parked at offset 0 and mid-stream into fresh sessions, with the skip
+ * on or off: its sorted reports equal the naive simulator's; a short
+ * first chunk decides nothing, a long one decides, and the deciding run
+ * builds nothing. Then, on the decided automaton, Engine::run and a
+ * second parked stream are byte-identical. Enough cases must report,
+ * decide dense, decide sparse, and run a split.
+ */
+TEST(Session, PropertyOneDecisionPerAutomaton)
+{
+    Rng rng(20181024);
+    size_t dense_cases = 0, sparse_cases = 0, split_cases = 0;
+    size_t reporting_cases = 0;
+    for (int trial = 0; trial < 90; ++trial) {
+        SCOPED_TRACE("trial " + std::to_string(trial));
+        Application app("empty", "E");
+        std::vector<std::vector<uint8_t>> matches;
+        unsigned alphabet = 32;
+        if (trial % 3 == 2) {
+            app = testing::randomRuleSet(rng, 60 + rng.index(30), alphabet,
+                                         &matches);
+        } else {
+            testing::RandomNfaParams params;
+            params.minStates = 8;
+            params.reportProb = 0.1;
+            params.sodProb = 0.1;
+            const bool dense = trial % 3 == 0;
+            params.alphabetSize = alphabet = dense ? 4 : 96;
+            params.maxSymbols = dense ? 2 : 3;
+            params.extraStartProb = dense ? 0.3 : 0.05;
+            app = testing::randomApplication(rng, 32 + rng.index(12),
+                                             params);
+            for (const Nfa &nfa : app.nfas())
+                matches.push_back(testing::matchingBytes(nfa));
+        }
+        FlatAutomaton fa(app);
+        ASSERT_GE(fa.size(), Engine::kMinDenseStates);
+
+        std::vector<uint8_t> input = testing::randomInput(rng, 800, alphabet);
+        for (int k = 0; k < 8; ++k) {
+            const std::vector<uint8_t> &m =
+                matches[rng.index(matches.size())];
+            const size_t at =
+                k == 0 ? 0 : rng.index(input.size() - m.size());
+            std::copy(m.begin(), m.end(), input.begin() + at);
+        }
+        const ReportList want = testing::naiveSimulate(app, input);
+        reporting_cases += want.empty() ? 0 : 1;
+        const bool skip = rng.chance(0.5);
+        SessionConfig config;
+        config.mode = EngineMode::Auto;
+        config.inputSkip = skip;
+
+        const bool short_first = rng.chance(0.5);
+        const size_t first =
+            short_first ? 1 + rng.index(Engine::kProbeCycles - 1)
+                        : Engine::kProbeCycles + rng.index(200);
+        EngineMode resolved = EngineMode::Auto;
+        EXPECT_EQ(sorted(parkedStream(fa, config, input, first, rng,
+                                      &resolved)),
+                  want);
+        EXPECT_EQ(fa.coreDecision().has_value(), !short_first);
+
+        Engine engine(fa, EngineMode::Auto);
+        engine.setInputSkip(skip);
+        if (short_first) { // then this run decides
+            EXPECT_EQ(sorted(engine.run(input).reports), want);
+        }
+        ASSERT_TRUE(fa.coreDecision().has_value());
+        EXPECT_EQ(fa.hotDfaIfBuilt(), nullptr) << "the deciding run built";
+        EXPECT_EQ(fa.splitIfBuilt(), nullptr) << "the deciding run built";
+
+        const SimResult whole = engine.run(input);
+        EXPECT_EQ(sorted(whole.reports), want);
+        config.alphabet = ExecCore::distinctBytes(input);
+        EXPECT_EQ(parkedStream(fa, config, input, 1 + rng.index(300), rng,
+                               &resolved),
+                  whole.reports);
+        EXPECT_EQ(resolved, engine.resolvedMode());
+        const CoreDecision d = *fa.coreDecision();
+        (d.dense ? dense_cases : sparse_cases) += 1;
+        split_cases += resolved == EngineMode::Split ? 1 : 0;
+    }
+    std::printf("one decision: %zu dense, %zu sparse, %zu on the split, "
+                "%zu reporting\n",
+                dense_cases, sparse_cases, split_cases, reporting_cases);
+    EXPECT_GE(dense_cases, 20u);
+    EXPECT_GE(sparse_cases, 20u);
+    EXPECT_GE(split_cases, 20u);
+    EXPECT_GE(reporting_cases, 80u);
 }
 
 /** Empty chunks and empty streams are legal no-ops. */

@@ -8,13 +8,14 @@
  * chunk boundaries, the input skip on and off, and suspend/resume into
  * fresh sessions at random offsets, byte-identical to Engine::run;
  * the test-scale workloads whose split builds match the sparse core on
- * reporting inputs, chunked and parked byte-identically to Engine::run,
- * and keep the split; dense traffic on a split retires it; and
- * concurrent nominations build the split once.
+ * reporting inputs, chunked and parked byte-identically to Engine::run;
+ * the dense apps, decided from their own input, never split; and
+ * concurrent first streams decide once and build the split once.
  */
 
 #include <algorithm>
 #include <cstdio>
+#include <optional>
 #include <span>
 #include <thread>
 #include <vector>
@@ -380,91 +381,83 @@ TEST(Split, WorkloadsWhoseSplitBuildsMatchSparse)
         const ReportList tail = second.takeReports();
         chunked.insert(chunked.end(), tail.begin(), tail.end());
         EXPECT_EQ(chunked, got.reports);
-        // Their traffic keeps the split: its sparse side stays light.
-        EXPECT_NE(fa.splitIfBuilt(), nullptr);
     }
 }
 
 /**
- * The split's own probe: a dense automaton whose quiet first stream
- * declined the probe gets the split, but the next stream carries its
- * real traffic, and the split's sparse side measures past the dense
- * threshold — across a suspend/resume inside the probe window. That
- * stream finishes on the split with the sparse core's reports; the
- * split is retired, and the stream after it probes and hands over.
+ * The dense apps decide from their own input, as the daemon decides a
+ * tenant at load: SPM, Fermi and HM run dense, so auto never splits
+ * them — not even when their first stream is 512 zero bytes, which
+ * would decide SPM and Fermi sparse had it come first. Each stream's
+ * sorted reports equal the sparse core's.
  */
-TEST(Split, DenseTrafficRetiresTheSplit)
+TEST(Split, DenseAppsDecidedFromOwnInputNeverSplit)
 {
-    for (const char *abbr : {"SPM", "Fermi"}) {
+    size_t misled = 0; // apps the zeros alone would decide sparse
+    for (const char *abbr : {"SPM", "Fermi", "HM"}) {
         SCOPED_TRACE(abbr);
         Workload w = generateWorkload(abbr, 7, 5);
         FlatAutomaton fa(w.app);
         Rng rng(20180621);
         const std::vector<uint8_t> input =
             synthesizeInput(w.input, 4096, rng);
-        const ReportList want =
-            sorted(Engine(fa, EngineMode::Sparse).run(input).reports);
-        const uint64_t retired =
-            telemetry::snapshot().counters["split.retirements"];
+        const std::optional<CoreDecision> d =
+            fa.decideCore(input, Bitset256::all());
+        ASSERT_TRUE(d.has_value());
+        EXPECT_TRUE(d->dense) << d->describe();
 
+        const std::vector<uint8_t> zeros(512, 0);
+        if (!FlatAutomaton(w.app).decideCore(zeros, Bitset256::all())->dense)
+            ++misled;
         SessionConfig config;
         config.mode = EngineMode::Auto;
-        auto session = std::make_unique<EngineSession>(fa, config);
-        session->restart();
-        session->feed(std::vector<uint8_t>(512, 0));
-        EXPECT_EQ(session->resolvedMode(), EngineMode::Sparse);
-        session->restart();
-        ASSERT_EQ(session->resolvedMode(), EngineMode::Split);
-
-        session->feed(std::span(input).first(64));
-        ReportList got = session->takeReports();
-        const EngineSession::Snapshot snap = session->suspend();
-        session = std::make_unique<EngineSession>(fa, config);
-        session->resume(snap);
-        session->feed(std::span(input).subspan(64));
-        const ReportList tail = session->takeReports();
-        got.insert(got.end(), tail.begin(), tail.end());
-        EXPECT_EQ(session->resolvedMode(), EngineMode::Split);
-        EXPECT_EQ(sorted(got), want);
+        for (const std::vector<uint8_t> *stream : {&zeros, &input}) {
+            EngineSession session(fa, config);
+            session.restart();
+            session.feed(*stream);
+            EXPECT_NE(session.resolvedMode(), EngineMode::Sparse);
+            EXPECT_NE(session.resolvedMode(), EngineMode::Split);
+            EXPECT_EQ(sorted(session.takeReports()),
+                      sorted(Engine(fa, EngineMode::Sparse)
+                                 .run(*stream)
+                                 .reports));
+        }
         EXPECT_EQ(fa.splitIfBuilt(), nullptr);
-        EXPECT_NE(fa.ensureSplit(), nullptr); // still resumable
-        EXPECT_EQ(telemetry::snapshot().counters["split.retirements"],
-                  retired + 1);
-
-        session->restart();
-        session->feed(input);
-        EXPECT_EQ(session->resolvedMode(), EngineMode::Dense);
-        EXPECT_TRUE(session->stats().handedOver);
-        EXPECT_EQ(sorted(session->takeReports()), want);
     }
+    EXPECT_GE(misled, 2u) << "SPM and Fermi decide sparse from zeros";
 }
 
 /**
- * Streams of one automaton whose probes decline nominate the split;
- * their sessions restart concurrently on four threads, and the
- * automaton's one-shot slot builds it exactly once.
+ * First streams of an undecided automaton on four threads, each with
+ * its own input: they decide the automaton once — every thread sees the
+ * same decision, whichever input made it — and their next streams
+ * build the split once and run it.
  */
-TEST(Split, ConcurrentNominationsBuildOnce)
+TEST(Split, ConcurrentFirstStreamsDecideAndBuildOnce)
 {
     Workload w = generateWorkload("Brill", 7, 5);
     FlatAutomaton fa(w.app);
-    ASSERT_GE(fa.size(), Engine::kMinDenseStates) << "Brill must probe";
+    ASSERT_GE(fa.size(), Engine::kMinDenseStates) << "Brill must decide";
     Rng rng(20180621);
-    const std::vector<uint8_t> input = synthesizeInput(w.input, 2048, rng);
+    std::vector<std::vector<uint8_t>> inputs;
+    for (int t = 0; t < 4; ++t)
+        inputs.push_back(synthesizeInput(w.input, 2048, rng));
     const uint64_t before = telemetry::snapshot().counters["split.builds"];
 
-    std::vector<EngineMode> resolved(4, EngineMode::Auto);
+    std::vector<CoreDecision> seen(inputs.size());
+    std::vector<EngineMode> resolved(inputs.size(), EngineMode::Auto);
     std::vector<std::thread> threads;
-    for (size_t t = 0; t < resolved.size(); ++t) {
+    for (size_t t = 0; t < inputs.size(); ++t) {
         threads.emplace_back([&, t] {
             SessionConfig config;
             config.mode = EngineMode::Auto;
             EngineSession session(fa, config);
             session.restart();
-            session.feed(input); // the probe declines: nominates
+            session.feed(inputs[t]); // decides, or finds the decision
+            seen[t] = fa.coreDecision().value();
             session.restart();
             resolved[t] = session.resolvedMode();
-            session.feed(input);
+            session.feed(inputs[t]);
         });
     }
     for (std::thread &th : threads)
@@ -472,8 +465,11 @@ TEST(Split, ConcurrentNominationsBuildOnce)
 
     EXPECT_EQ(telemetry::snapshot().counters["split.builds"] - before, 1u);
     ASSERT_NE(fa.splitIfBuilt(), nullptr);
-    for (EngineMode m : resolved)
-        EXPECT_EQ(m, EngineMode::Split);
+    for (size_t t = 0; t < inputs.size(); ++t) {
+        EXPECT_FALSE(seen[t].dense);
+        EXPECT_EQ(seen[t].work, seen[0].work) << "thread " << t;
+        EXPECT_EQ(resolved[t], EngineMode::Split);
+    }
 }
 
 } // namespace

@@ -31,6 +31,7 @@
 #include <csignal>
 #include <cstdio>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -156,14 +157,19 @@ main(int argc, char **argv)
     for (const std::string &abbr : splitList(apps_arg)) {
         const LoadedApp &app = runner.load(abbr);
         const FlatAutomaton &fa = app.flat();
-        // Determinize at load exactly where auto's own nomination
-        // would: larger automata overrun the subset-construction
-        // budget, so the attempt would only cost time and memory.
-        const char *core = " (no DFA: above the auto DFA size cap)";
+        // Decide the core from the app's own profiling prefix, over the
+        // alphabet served streams declare, so that no client's first
+        // stream decides for the tenant.
+        fa.decideCore(app.input, Bitset256::all());
+        // Determinize at load up to auto's DFA size cap: larger
+        // automata overrun the subset-construction budget, so the
+        // attempt would only cost time and memory.
+        const char *dfa = "no DFA: above the auto DFA size cap";
         if (fa.size() <= Engine::kMaxAutoDfaStates)
-            core = fa.ensureHotDfa() ? " (DFA)"
-                                     : " (no DFA: budget bailout)";
-        inform("tenant ", abbr, ": ", fa.size(), " states", core);
+            dfa = fa.ensureHotDfa() ? "DFA" : "no DFA: budget bailout";
+        const std::optional<CoreDecision> d = fa.coreDecision();
+        inform("tenant ", abbr, ": ", fa.size(), " states, ", dfa, "; ",
+               d ? d->describe() : std::string("sparse core, undecided"));
         service.addTenant(
             abbr,
             std::shared_ptr<const FlatAutomaton>(&fa,
