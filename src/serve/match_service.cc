@@ -132,6 +132,14 @@ skipJumpsByTenant()
     return c;
 }
 
+telemetry::LabeledCounter &
+quietStepsByTenant()
+{
+    static auto &c =
+        *new telemetry::LabeledCounter("serve.quiet_steps");
+    return c;
+}
+
 telemetry::LabeledGauge &
 parkedBytesByTenant()
 {
@@ -152,6 +160,7 @@ struct TenantFold
     uint64_t sparseCycles = 0;
     uint64_t skipSymbols = 0;
     uint64_t skipJumps = 0;
+    uint64_t quietSteps = 0;
 
     /** Attribute one session's stats delta to the core the session
      *  ran the feed on (a stream never switches cores). */
@@ -176,6 +185,7 @@ struct TenantFold
         }
         skipSymbols += after.skippedSymbols - before.skippedSymbols;
         skipJumps += after.skipJumps - before.skipJumps;
+        quietSteps += after.quietSteps - before.quietSteps;
     }
 
     void
@@ -196,6 +206,8 @@ struct TenantFold
             skipSymbolsByTenant().add(tenant, skipSymbols);
         if (skipJumps)
             skipJumpsByTenant().add(tenant, skipJumps);
+        if (quietSteps)
+            quietStepsByTenant().add(tenant, quietSteps);
     }
 };
 

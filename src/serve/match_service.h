@@ -197,8 +197,8 @@ class MatchService
      * into a (pooled or fresh) session. Blocks while another caller
      * has it busy. Caller holds the lock; the lock is released and
      * reacquired across the wait, and across the session's restart()
-     * or resume() (which may build a nominated DFA or split) with the
-     * stream already marked busy.
+     * or resume() (which may build a decided automaton's DFA or split,
+     * once per automaton) with the stream already marked busy.
      */
     void checkoutLocked(std::unique_lock<std::mutex> *lock,
                         Tenant *tenant, Stream *stream);

@@ -65,6 +65,7 @@ ExecCore::reset(const Bitset256 &input_alphabet,
     next_enabled_.clear();
     for (auto &bucket : perm_table_)
         bucket.clear();
+    perm_next_.fill(Bitset256());
     permanent_count_ = 0;
     permanent_states_.clear();
     latched_pending_.clear();
@@ -103,15 +104,27 @@ ExecCore::makePermanent(GlobalStateId s)
         latched_pending_.push_back(s);
     } else {
         status_[s] = Status::Permanent;
-        uint64_t fold = ~uint64_t{0};
+        // The bytes an activation of s can act on at the next symbol:
+        // its successors' symbols, or every byte when s reports or a
+        // successor latches.
+        Bitset256 next = Bitset256::all();
         if (!fa_.reporting(s)) {
-            fold = 0;
-            for (GlobalStateId t : fa_.successors(s))
-                fold |= latches(t) ? ~uint64_t{0} : fold64(fa_.symbols(t));
+            next = Bitset256();
+            for (GlobalStateId t : fa_.successors(s)) {
+                if (latches(t)) {
+                    next = Bitset256::all();
+                    break;
+                }
+                next |= fa_.symbols(t);
+            }
         }
+        const uint64_t fold = fold64(next);
         const Bitset256 accepted = input_alphabet_ & fa_.symbols(s);
         forEachSetBit(std::span<const uint64_t>(accepted.words),
-                      [&](size_t b) { perm_table_[b].push_back({s, fold}); });
+                      [&](size_t b) {
+                          perm_table_[b].push_back({s, fold});
+                          perm_next_[b] |= next;
+                      });
     }
 }
 

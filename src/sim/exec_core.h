@@ -31,12 +31,33 @@
  * an activated post-gap literal none of whose successors can take the
  * next byte costs one word test and never touches the successor CSR.
  * A filtered state leaves no trace: no epoch mark, no list entry. A
- * caller that skips step() while the core is idle (the split) does not
- * advance the epoch, and a stale mark would silently drop a later
- * enableState() of the same state. The states dropped are exactly those
- * that would not activate on the next symbol, so the surviving enabled
- * list is a subsequence of the unfiltered one: activations, their order
- * and the reports are unchanged.
+ * caller that skips step() (below) does not advance the epoch, and a
+ * stale mark would silently drop a later enableState() of the same
+ * state. The states dropped are exactly those that would not activate
+ * on the next symbol, so the surviving enabled list is a subsequence of
+ * the unfiltered one: activations, their order and the reports are
+ * unchanged.
+ *
+ * Quiet steps. Behind a latched `.*` gap most symbols change nothing:
+ * the gap keeps its successors dispatched, and none of those the symbol
+ * fires has a successor that takes the next byte. quiet(symbol, next)
+ * proves this before the step is paid for. It holds when
+ *  - the dynamic list is empty;
+ *  - the latched-reporting list and both pending lists are empty;
+ *  - no profiler is attached;
+ *  - the next byte is outside perm_next_[symbol], the union of the
+ *    successor symbol sets of the permanent entries accepting the
+ *    symbol (all 256 bytes once one of them reports or has a latching
+ *    successor: the exact set behind each entry's fold).
+ * A lookahead step on such a symbol reports nothing, expands no latched
+ * state, walks no dynamic state and filters every successor it meets:
+ * it is a filtered step that leaves no trace, and changes only the
+ * epoch. The caller skips it (EngineSession counts it in
+ * SessionStats::quietSteps). The epoch may stand still because the only
+ * marks equal to the upcoming epoch are the dynamic list's, which is
+ * empty, so every mark is older whether the step runs or not. The test
+ * needs the next byte, so a chunk's last symbol still steps, without
+ * lookahead, and saveState() only ever sees complete lists.
  *
  * Invariant: lists built by a filtered step are incomplete, so
  * snapshotEnabled() and saveState() may only see lists built by
@@ -127,6 +148,19 @@ class ExecCore
     void step(uint8_t symbol, uint64_t position, ReportList *reports,
               int next = kNoLookahead);
 
+    /**
+     * True when step(@p symbol, ..., @p next) would change nothing but
+     * the epoch, so the caller may skip it (see the file comment). Inline:
+     * a quiet symbol costs its caller no call.
+     */
+    bool
+    quiet(uint8_t symbol, uint8_t next) const
+    {
+        return enabled_.empty() && latched_reporting_.empty() &&
+               latched_pending_.empty() && pending_permanent_.empty() &&
+               profiler_ == nullptr && !perm_next_[symbol].test(next);
+    }
+
     /** Compute the set of distinct bytes in @p input. */
     static Bitset256 distinctBytes(std::span<const uint8_t> input);
 
@@ -193,7 +227,8 @@ class ExecCore
     /** One permanent-dispatch entry: the state and the 64-bit fold
      *  (bit b & 63) of its successors' symbol sets; all ones for a
      *  reporting state, which must activate to report, and for one
-     *  with a latching successor. */
+     *  with a latching successor. perm_next_ keeps the same sets
+     *  exact, per bucket. */
     struct Dispatch
     {
         GlobalStateId state;
@@ -251,6 +286,10 @@ class ExecCore
 
     /** Permanent non-universal states accepting each symbol. */
     std::array<std::vector<Dispatch>, 256> perm_table_;
+    /** Per bucket, the next bytes one of its entries can act on: the
+     *  union of their successor sets (every byte for an entry that
+     *  reports or has a latching successor). quiet() tests it. */
+    std::array<Bitset256, 256> perm_next_;
     size_t permanent_count_ = 0;
     /** Every permanently-enabled state (Permanent or Latched), in the
      *  order it was promoted — so snapshotEnabled doesn't scan all N

@@ -197,23 +197,30 @@ EngineSession::feedTable(std::span<const uint8_t> chunk)
     const size_t n = chunk.size();
     const HotDfa &dfa = *dfa_;
     uint32_t state = dfa_state_;
+    uint64_t quiet = 0;
     // One symbol: the table step and its reports, then — split only —
     // the cold core's step (a no-op while idle, so skipped), with the
     // next byte as lookahead except at the chunk's end, where the
-    // stream may suspend, and the new DFA state's hot→cold enables for
-    // the next symbol. The cold core steps the merged automaton and
-    // emits its reports under original ids (sparseCore). Hot reports
-    // precede cold ones within a position. Forced inline: an outlined
-    // call keeps `state` in memory and costs the DFA loop ~10%.
+    // stream may suspend, and skipped too when the core proves it quiet
+    // for that byte; then the new DFA state's hot→cold enables for the
+    // next symbol. The cold core steps the merged automaton and emits
+    // its reports under original ids (sparseCore). Hot reports precede
+    // cold ones within a position. Forced inline: an outlined call
+    // keeps `state` in memory and costs the DFA loop ~10%.
     auto step = [&](size_t j) __attribute__((always_inline)) {
         state = dfa.next(state, chunk[j]);
         for (GlobalStateId id : dfa.reportsOf(state))
             reports_.push_back({offset_ + j, id});
         if constexpr (kSplit) {
-            if (!core_->idle())
-                core_->step(chunk[j], offset_ + j, &reports_,
-                            j + 1 < n ? chunk[j + 1]
-                                      : ExecCore::kNoLookahead);
+            if (!core_->idle()) {
+                if (j + 1 == n)
+                    core_->step(chunk[j], offset_ + j, &reports_);
+                else if (core_->quiet(chunk[j], chunk[j + 1]))
+                    ++quiet;
+                else
+                    core_->step(chunk[j], offset_ + j, &reports_,
+                                chunk[j + 1]);
+            }
             for (GlobalStateId s : dfa.coldEnables(state))
                 core_->enableState(s);
         }
@@ -250,6 +257,7 @@ EngineSession::feedTable(std::span<const uint8_t> chunk)
             step(i);
     }
     dfa_state_ = state;
+    stats_.quietSteps += quiet;
     (kSplit ? stats_.usedSplit : stats_.usedDfa) = true;
 }
 
@@ -275,12 +283,20 @@ EngineSession::feed(std::span<const uint8_t> chunk)
         break;
     case Phase::Sparse: {
         // Every symbol but the chunk's last (where the stream may
-        // suspend) steps with the next byte as lookahead.
+        // suspend) steps with the next byte as lookahead, or not at all
+        // when the core proves it quiet for that byte.
+        ExecCore &core = *core_;
+        uint64_t quiet = 0;
         size_t i = 0;
-        for (; i + 1 < n; ++i)
-            core_->step(chunk[i], offset_ + i, &reports_, chunk[i + 1]);
+        for (; i + 1 < n; ++i) {
+            if (core.quiet(chunk[i], chunk[i + 1]))
+                ++quiet;
+            else
+                core.step(chunk[i], offset_ + i, &reports_, chunk[i + 1]);
+        }
         if (i < n)
-            core_->step(chunk[i], offset_ + i, &reports_);
+            core.step(chunk[i], offset_ + i, &reports_);
+        stats_.quietSteps += quiet;
         break;
     }
     case Phase::Dense:

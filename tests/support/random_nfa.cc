@@ -135,6 +135,27 @@ minPartitionLayer(const Nfa &nfa, const Topology &topo)
     return min_layer;
 }
 
+void
+plantMatches(const Application &app,
+             const std::vector<std::vector<uint8_t>> &matches, Rng &rng,
+             std::vector<uint8_t> *input)
+{
+    for (size_t k = 0; k < matches.size(); ++k) {
+        const std::vector<uint8_t> &m = matches[k];
+        if (m.empty() || m.size() > input->size())
+            continue;
+        const Nfa &nfa = app.nfa(static_cast<uint32_t>(k));
+        const bool anchored = std::none_of(
+            nfa.startStates().begin(), nfa.startStates().end(),
+            [&](StateId s) {
+                return nfa.state(s).start == StartKind::AllInput;
+            });
+        const size_t at =
+            anchored ? 0 : rng.index(input->size() - m.size() + 1);
+        std::copy(m.begin(), m.end(), input->begin() + at);
+    }
+}
+
 std::vector<uint8_t>
 randomInput(Rng &rng, size_t len, unsigned alphabet_size)
 {

@@ -66,6 +66,16 @@ Application randomRuleSet(Rng &rng, size_t nfa_count,
                           unsigned alphabet_size,
                           std::vector<std::vector<uint8_t>> *matches);
 
+/**
+ * Copy each NFA's matching bytes (@p matches, one per NFA of @p app,
+ * e.g. from matchingBytes) into @p input: at offset 0 for an NFA
+ * without an all-input start, elsewhere at a random offset. Empty or
+ * overlong ones are skipped; a later plant may overwrite an earlier one.
+ */
+void plantMatches(const Application &app,
+                  const std::vector<std::vector<uint8_t>> &matches,
+                  Rng &rng, std::vector<uint8_t> *input);
+
 /** Generate a random input over [0, alphabetSize). */
 std::vector<uint8_t> randomInput(Rng &rng, size_t len,
                                  unsigned alphabet_size);

@@ -1,5 +1,9 @@
 /** @file Unit tests for the ExecCore latching fast path. */
 
+#include <algorithm>
+#include <cstdio>
+#include <memory>
+
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
@@ -185,6 +189,130 @@ TEST(ExecCore, LookaheadFilteredStateLeavesNoTrace)
     ASSERT_EQ(reports.size(), 1u);
     EXPECT_EQ(reports[0].position, 2u);
     EXPECT_EQ(reports[0].state, t);
+}
+
+/**
+ * Quiet steps are no-ops. Random automata run on two cores over one
+ * input: one skips every symbol quiet() proves idle, the way
+ * EngineSession does, and one steps every symbol with lookahead. Both
+ * step a chunk's last symbol without it, at random chunk ends, where
+ * their saveState() must agree and the skipping core is sometimes
+ * suspended into a fresh core. Half the trials are literal rule sets
+ * (chains with latched `.*` gaps, `b+` self-loops and planted matches),
+ * half random graphs (chains, latched and reporting wildcards,
+ * reporting starts, matchingBytes planted); some run over a narrow
+ * alphabet, some declare the full one, and a quarter drive the core the
+ * way the split drives its cold side: no starts, random enables between
+ * steps. Reports must agree one for one (and, undriven, with the naive
+ * simulator), and the trials must take quiet steps.
+ */
+TEST(ExecCore, QuietStepsAreNoOps)
+{
+    Rng rng(20181023);
+    uint64_t quiet_steps = 0, steps = 0;
+    size_t quiet_trials = 0, reporting_trials = 0;
+    size_t latched_reporting = 0, permanent_reporting = 0, plus_loops = 0;
+    for (int trial = 0; trial < 240; ++trial) {
+        SCOPED_TRACE("trial " + std::to_string(trial));
+        const unsigned alphabet = trial % 3 == 0 ? 5 : 48;
+        std::vector<std::vector<uint8_t>> matches;
+        Application app("t", "T");
+        if (trial % 2 == 0) {
+            app = testing::randomRuleSet(rng, 2 + rng.index(12), alphabet,
+                                         &matches);
+        } else {
+            testing::RandomNfaParams params;
+            params.maxStates = 30;
+            params.avgOutDegree = 0.6;
+            params.backEdgeProb = 0.1;
+            params.reportProb = 0.3;
+            params.universalProb = 0.25;
+            params.sodProb = 0.1;
+            params.maxSymbols = 4;
+            params.alphabetSize = alphabet;
+            app = testing::randomApplication(rng, 1 + rng.index(4), params);
+            for (const Nfa &nfa : app.nfas())
+                matches.push_back(testing::matchingBytes(nfa));
+        }
+        std::vector<uint8_t> input = testing::randomInput(rng, 400, alphabet);
+        testing::plantMatches(app, matches, rng, &input);
+        const Bitset256 declared = trial % 4 < 2
+                                       ? Bitset256::all()
+                                       : ExecCore::distinctBytes(input);
+        const bool driven = trial % 4 == 1;
+
+        FlatAutomaton fa(app);
+        for (GlobalStateId s = 0; s < fa.size(); ++s) {
+            const auto succ = fa.successors(s);
+            const bool loop =
+                std::find(succ.begin(), succ.end(), s) != succ.end();
+            const bool wild = fa.symbols(s) == SymbolSet::all();
+            latched_reporting += loop && wild && fa.reporting(s);
+            plus_loops += loop && !wild;
+            permanent_reporting += fa.reporting(s) && !wild &&
+                                   fa.start(s) == StartKind::AllInput;
+        }
+
+        auto skipping = std::make_unique<ExecCore>(fa);
+        ExecCore stepping(fa);
+        skipping->reset(declared, nullptr, !driven);
+        stepping.reset(declared, nullptr, !driven);
+        ReportList got, want;
+        uint64_t trial_quiet = 0;
+        size_t chunk_end = 1 + rng.index(64);
+        for (size_t i = 0; i < input.size(); ++i) {
+            const bool last = i + 1 == chunk_end || i + 1 == input.size();
+            if (last) {
+                skipping->step(input[i], i, &got);
+                stepping.step(input[i], i, &want);
+            } else {
+                stepping.step(input[i], i, &want, input[i + 1]);
+                if (skipping->quiet(input[i], input[i + 1]))
+                    ++trial_quiet;
+                else
+                    skipping->step(input[i], i, &got, input[i + 1]);
+            }
+            ++steps;
+            if (driven && rng.chance(0.08)) {
+                const GlobalStateId s =
+                    static_cast<GlobalStateId>(rng.index(fa.size()));
+                skipping->enableState(s);
+                stepping.enableState(s);
+            }
+            if (!last)
+                continue;
+            ExecCore::Snapshot a, b;
+            skipping->saveState(&a);
+            stepping.saveState(&b);
+            ASSERT_EQ(a.dynamic, b.dynamic) << "position " << i;
+            ASSERT_EQ(a.permanent, b.permanent) << "position " << i;
+            if (rng.chance(0.5)) {
+                skipping = std::make_unique<ExecCore>(fa);
+                skipping->restoreState(declared, a);
+            }
+            chunk_end = i + 2 + rng.index(64);
+        }
+        ASSERT_EQ(got, want);
+        if (!driven) {
+            std::sort(got.begin(), got.end());
+            EXPECT_EQ(got, testing::naiveSimulate(app, input));
+        }
+        quiet_steps += trial_quiet;
+        quiet_trials += trial_quiet > 0 ? 1 : 0;
+        reporting_trials += want.empty() ? 0 : 1;
+    }
+    std::printf("quiet steps: %llu of %llu symbols, in %zu trials; %zu "
+                "reporting trials; %zu latched reporting, %zu reporting "
+                "starts, %zu b+ loops\n",
+                static_cast<unsigned long long>(quiet_steps),
+                static_cast<unsigned long long>(steps), quiet_trials,
+                reporting_trials, latched_reporting, permanent_reporting,
+                plus_loops);
+    EXPECT_GE(quiet_trials, 150u);
+    EXPECT_GE(reporting_trials, 200u);
+    EXPECT_GE(latched_reporting, 20u);
+    EXPECT_GE(permanent_reporting, 20u);
+    EXPECT_GE(plus_loops, 20u);
 }
 
 /** Property: heavy-wildcard random NFAs still match the naive oracle. */

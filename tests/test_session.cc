@@ -279,22 +279,40 @@ TEST(Session, ResumedStreamReportsSixtyFourBitPositions)
 /**
  * Random automata, random chunk partitions: chunked == whole, and the
  * sorted reports equal the naive simulator's (Engine::run takes the
- * same next-symbol lookahead as the chunked run, so it is no oracle for
- * it).
+ * same next-symbol lookahead and quiet steps as the chunked run, so it
+ * is no oracle for them). The last 16 trials use small symbol sets over
+ * a wider alphabet, few wildcards and few reporting states, with every
+ * NFA's matchingBytes planted, so that the sparse core often has
+ * nothing to do: their sparse and auto trials must take quiet steps
+ * and report.
  */
 TEST(Session, RandomizedChunkBoundaryDifferential)
 {
     Rng rng(20260813);
-    for (int trial = 0; trial < 24; ++trial) {
+    size_t quiet_trials = 0;
+    for (int trial = 0; trial < 40; ++trial) {
+        const bool sparse_symbols = trial >= 24;
         testing::RandomNfaParams params;
         params.backEdgeProb = 0.3;
         params.reportProb = 0.3;
         params.universalProb = trial % 2 == 0 ? 0.3 : 0.1;
         params.extraStartProb = 0.4;
+        if (sparse_symbols) {
+            params.maxSymbols = 3;
+            params.alphabetSize = 48;
+            params.universalProb = 0.05;
+            params.reportProb = 0.1;
+        }
         Application app = testing::randomApplication(
             rng, 2 + rng.index(12), params);
-        const std::vector<uint8_t> input =
+        std::vector<uint8_t> input =
             testing::randomInput(rng, 500, params.alphabetSize);
+        if (sparse_symbols) {
+            std::vector<std::vector<uint8_t>> matches;
+            for (const Nfa &nfa : app.nfas())
+                matches.push_back(testing::matchingBytes(nfa));
+            testing::plantMatches(app, matches, rng, &input);
+        }
         FlatAutomaton fa(app);
         decide(fa, input);
 
@@ -335,7 +353,13 @@ TEST(Session, RandomizedChunkBoundaryDifferential)
         std::sort(got.begin(), got.end());
         EXPECT_EQ(got, testing::naiveSimulate(app, input))
             << "trial " << trial << " mode " << engineModeName(mode);
+        quiet_trials +=
+            live->stats().quietSteps > 0 && !got.empty() ? 1 : 0;
     }
+    // The oracle covers the sparse core's quiet steps.
+    std::printf("%zu of 40 trials took quiet steps and reported\n",
+                quiet_trials);
+    EXPECT_GE(quiet_trials, 4u);
 }
 
 /**

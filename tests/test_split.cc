@@ -115,6 +115,21 @@ TEST(Split, WholeDfaIsTheEveryStateSubset)
     }
 }
 
+/** What expectSplitMatches' chunked runs skipped. */
+struct SplitCounts
+{
+    uint64_t skipped = 0; ///< input symbols the skip jumped
+    uint64_t quiet = 0;   ///< cold steps ExecCore::quiet() skipped
+
+    SplitCounts &
+    operator+=(const SplitCounts &o)
+    {
+        skipped += o.skipped;
+        quiet += o.quiet;
+        return *this;
+    }
+};
+
 /** Universal self-loop state: latches on the sparse core. */
 bool
 latches(const FlatAutomaton &fa, GlobalStateId s)
@@ -130,13 +145,14 @@ latches(const FlatAutomaton &fa, GlobalStateId s)
  * fresh session at random offsets. Sorted reports equal @p want; the
  * chunked stream is byte-identical to the whole run.
  *
- * @return symbols the chunked runs skipped
+ * @return symbols the chunked runs skipped, and cold steps they proved
+ *         quiet
  */
-uint64_t
+SplitCounts
 expectSplitMatches(const FlatAutomaton &fa, std::span<const uint8_t> input,
                    const ReportList &want, Rng &rng)
 {
-    uint64_t skipped = 0;
+    SplitCounts counts;
     for (bool skip : {false, true}) {
         SCOPED_TRACE(skip ? "skip" : "noskip");
         Engine engine(fa, EngineMode::Auto);
@@ -169,10 +185,11 @@ expectSplitMatches(const FlatAutomaton &fa, std::span<const uint8_t> input,
             }
         }
         EXPECT_TRUE(session->stats().usedSplit);
-        skipped += session->stats().skippedSymbols;
+        counts.skipped += session->stats().skippedSymbols;
+        counts.quiet += session->stats().quietSteps;
         EXPECT_EQ(got, whole.reports);
     }
-    return skipped;
+    return counts;
 }
 
 /** True iff some report of @p reports comes from below the layer cut. */
@@ -200,7 +217,7 @@ TEST(Split, PropertyMatchesNaiveOnDeepRandomAutomata)
     size_t deep_cases = 0, bailouts = 0;
     size_t reporting_cases = 0, cold_reporting_cases = 0;
     size_t latch_both_sides = 0, sod_cases = 0, cold_start_cases = 0;
-    uint64_t skipped = 0;
+    SplitCounts counts;
     for (int trial = 0; trial < 150; ++trial) {
         SCOPED_TRACE("trial " + std::to_string(trial));
         testing::RandomNfaParams params;
@@ -249,22 +266,24 @@ TEST(Split, PropertyMatchesNaiveOnDeepRandomAutomata)
             continue;
         ++reporting_cases;
         cold_reporting_cases += reportsFromCold(want, layer) ? 1 : 0;
-        skipped += expectSplitMatches(fa, input, want, rng);
+        counts += expectSplitMatches(fa, input, want, rng);
     }
     std::printf("split oracle: %zu deep (%zu bailed), %zu reporting "
                 "(%zu from cold states), %zu latch on both sides, %zu "
                 "with sod starts, %zu with cold starts, %llu symbols "
-                "skipped\n",
+                "skipped, %llu quiet cold steps\n",
                 deep_cases, bailouts, reporting_cases,
                 cold_reporting_cases,
                 latch_both_sides, sod_cases, cold_start_cases,
-                static_cast<unsigned long long>(skipped));
+                static_cast<unsigned long long>(counts.skipped),
+                static_cast<unsigned long long>(counts.quiet));
     EXPECT_GE(reporting_cases, 50u);
     EXPECT_GE(cold_reporting_cases, 20u);
     EXPECT_GE(latch_both_sides, 5u);
     EXPECT_GE(sod_cases, 10u);
     EXPECT_GE(cold_start_cases, 5u);
-    EXPECT_GT(skipped, 0u);
+    EXPECT_GT(counts.skipped, 0u);
+    EXPECT_GT(counts.quiet, 0u);
 }
 
 /**
@@ -281,7 +300,7 @@ TEST(Split, PropertyMergedSplitMatchesNaiveOnSharedPrefixes)
     constexpr unsigned kAlphabet = 8;
     size_t merged_cases = 0, cold_reporting_cases = 0;
     size_t merged_and_cold_reporting = 0;
-    uint64_t skipped = 0;
+    SplitCounts counts;
     for (int trial = 0; trial < 120; ++trial) {
         SCOPED_TRACE("trial " + std::to_string(trial));
         std::vector<std::vector<uint8_t>> matches;
@@ -316,14 +335,15 @@ TEST(Split, PropertyMergedSplitMatchesNaiveOnSharedPrefixes)
         merged_cases += cold_merged ? 1 : 0;
         cold_reporting_cases += cold_reports ? 1 : 0;
         merged_and_cold_reporting += cold_merged && cold_reports ? 1 : 0;
-        skipped += expectSplitMatches(fa, input, want, rng);
+        counts += expectSplitMatches(fa, input, want, rng);
     }
     std::printf("merged split oracle: %zu with merged cold states, %zu "
                 "reporting from cold states, %zu both, %llu symbols "
-                "skipped\n",
+                "skipped, %llu quiet cold steps\n",
                 merged_cases, cold_reporting_cases,
                 merged_and_cold_reporting,
-                static_cast<unsigned long long>(skipped));
+                static_cast<unsigned long long>(counts.skipped),
+                static_cast<unsigned long long>(counts.quiet));
     EXPECT_GE(merged_cases, 60u);
     EXPECT_GE(cold_reporting_cases, 60u);
     EXPECT_GE(merged_and_cold_reporting, 40u);
