@@ -19,11 +19,15 @@
  * Correctness gate: every batch stream's report digest must equal the
  * whole-input Engine::run digest for the same bytes — the batch is a
  * scheduling change, never an approximation — and main() exits nonzero
- * on any mismatch (CI perf-smoke inherits the failure). Digests are
- * order-canonicalized (sorted) because the service runs the safe
- * all-bytes stream alphabet while Engine::run resolves the input's
- * exact distinct-byte set, which may reorder reports *within* one
- * position on the sparse core; the report multiset is identical.
+ * on any mismatch (CI perf-smoke inherits the failure). So that the
+ * digests never compare empty streams, every stream carries its app's
+ * first pattern (matchingBytes of the first NFA) planted every
+ * kPlantStride bytes, each row prints its streams' report count, and
+ * main() also exits nonzero when a workload's streams report nothing.
+ * Digests are order-canonicalized (sorted) because the service runs
+ * the safe all-bytes stream alphabet while Engine::run resolves the
+ * input's exact distinct-byte set, which may reorder reports *within*
+ * one position on the sparse core; the report multiset is identical.
  */
 
 #include <algorithm>
@@ -48,6 +52,9 @@ constexpr size_t kStreamCounts[] = {1, 4, 16, 64};
 
 /** Bytes per stream per feedMany round. */
 constexpr size_t kRoundBytes = 4096;
+
+/** Bytes between two plants of an app's first pattern in a stream. */
+constexpr size_t kPlantStride = 8192;
 
 /** Best-of-@p reps wall seconds of @p fn. */
 template <typename Fn>
@@ -140,11 +147,39 @@ serveBatch(serve::MatchService &service, const std::string &tenant,
 }
 
 /**
+ * Plant @p nfa's first pattern (matchingBytes) in every stream of
+ * @p streams: at offset 0 when the NFA has no all-input start (it
+ * matches only from the start of data), else every kPlantStride bytes,
+ * shifted per stream.
+ */
+void
+plantFirstPattern(const Nfa &nfa,
+                  std::vector<std::vector<uint8_t>> *streams)
+{
+    const std::vector<uint8_t> match = matchingBytes(nfa);
+    bool anchored = true;
+    for (StateId s : nfa.startStates())
+        anchored = anchored && nfa.state(s).start != StartKind::AllInput;
+    for (size_t i = 0; i < streams->size(); ++i) {
+        std::vector<uint8_t> &stream = (*streams)[i];
+        if (match.empty() || match.size() > stream.size())
+            continue;
+        const size_t first = anchored ? 0 : (i * 97) % kPlantStride;
+        const size_t stride = anchored ? stream.size() : kPlantStride;
+        for (size_t at = first; at + match.size() <= stream.size();
+             at += stride)
+            std::copy(match.begin(), match.end(), stream.begin() + at);
+    }
+}
+
+/**
  * One table row per stream count B: sequential service (B dedicated
  * sessions run back to back) vs the same streams through one
- * MatchService tenant, aggregate MB/s each, plus the per-stream digest
- * gate against whole-input Engine::run.
- * @return false when any stream's digest diverges.
+ * MatchService tenant, aggregate MB/s each, the batch streams' report
+ * count, plus the per-stream digest gate against whole-input
+ * Engine::run.
+ * @return false when any stream's digest diverges or the streams
+ *         report nothing.
  */
 bool
 runCase(const BenchCase &bc, Table *table, bool *any_speedup_ok)
@@ -188,12 +223,19 @@ runCase(const BenchCase &bc, Table *table, bool *any_speedup_ok)
 
         // Chunked-vs-whole gate on the timed results.
         bool match = true;
+        size_t reports = 0;
         for (size_t i = 0; i < b; ++i) {
             Engine engine(*bc.fa, bc.mode);
             const uint64_t want = sortedDigest(
                 engine.run(spans[i]).reports);
             if (sortedDigest(results[i]) != want)
                 match = false;
+            reports += results[i].size();
+        }
+        if (reports == 0) {
+            std::fprintf(stderr, "FAIL: %s at B=%zu reported nothing\n",
+                         bc.label.c_str(), b);
+            match = false;
         }
         all_match = all_match && match;
 
@@ -206,7 +248,7 @@ runCase(const BenchCase &bc, Table *table, bool *any_speedup_ok)
                        std::to_string(b),
                        std::to_string(bc.streams[0].size() / 1024),
                        Table::fmt(seq_mbs, 1), Table::fmt(batch_mbs, 1),
-                       Table::fmt(speedup, 2),
+                       Table::fmt(speedup, 2), std::to_string(reports),
                        match ? "ok" : "MISMATCH"});
     }
     return all_match;
@@ -236,7 +278,7 @@ main()
     printSection("Multi-stream batch throughput (aggregate bytes/sec)");
     static ExperimentRunner runner;
     Table table({"App", "Mode", "Streams", "KiB/stream", "Seq MB/s",
-                 "Batch MB/s", "Speedup", "Match"});
+                 "Batch MB/s", "Speedup", "Reports", "Match"});
 
     bool all_match = true;
     bool any_speedup_ok = false;
@@ -260,6 +302,7 @@ main()
         bc.mode = EngineMode::Dfa;
         bc.fa = owned.back().get();
         bc.streams = makeStreams(w, 64 * 1024, rng);
+        plantFirstPattern(w.app.nfa(0), &bc.streams);
         cases.push_back(std::move(bc));
     }
 
@@ -281,6 +324,7 @@ main()
                 s[j] = app.input[(j + i * 97) % app.input.size()];
             bc.streams.push_back(std::move(s));
         }
+        plantFirstPattern(app.workload.app.nfa(0), &bc.streams);
         cases.push_back(std::move(bc));
     }
 
@@ -291,7 +335,8 @@ main()
 
     if (!all_match) {
         std::fprintf(stderr, "FAIL: batch reports diverged from "
-                             "whole-input Engine::run\n");
+                             "whole-input Engine::run, or a workload "
+                             "reported nothing\n");
         return 1;
     }
     if (!any_speedup_ok)

@@ -94,6 +94,13 @@ class Bitset256
         return (words[0] | words[1] | words[2] | words[3]) == 0;
     }
 
+    /** @return the set folded to 64 bits: bit b & 63 for each byte b. */
+    constexpr uint64_t
+    fold64() const
+    {
+        return words[0] | words[1] | words[2] | words[3];
+    }
+
     /** Set union, in place. */
     constexpr Bitset256 &
     operator|=(const Bitset256 &o)

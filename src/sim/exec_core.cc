@@ -1,5 +1,7 @@
 #include "sim/exec_core.h"
 
+#include <limits>
+
 #include "common/logging.h"
 #include "common/word_vector.h"
 #include "sim/profiler.h"
@@ -8,19 +10,20 @@ namespace sparseap {
 
 namespace {
 
-/** @p set folded to 64 bits: bit b & 63 for every byte b it holds. */
-uint64_t
-fold64(const Bitset256 &set)
-{
-    return set.words[0] | set.words[1] | set.words[2] | set.words[3];
-}
+constexpr uint64_t kAllFold = ~uint64_t{0};
+
+/** The epoch no step may start with: it would mark its successors with
+ *  0, the mark of every never-enabled state. */
+constexpr uint32_t kWrapEpoch = std::numeric_limits<uint32_t>::max();
 
 } // namespace
 
 ExecCore::ExecCore(const FlatAutomaton &fa,
-                   std::span<const GlobalStateId> report_ids)
-    : fa_(fa), report_ids_(report_ids), self_loop_(fa.size(), 0),
-      status_(fa.size(), Status::Normal), mark_(fa.size(), 0)
+                   std::span<const GlobalStateId> report_ids,
+                   Lookahead lookahead)
+    : fa_(fa), report_ids_(report_ids), lookahead_(lookahead),
+      self_loop_(fa.size(), 0), status_(fa.size(), Status::Normal),
+      mark_(fa.size(), 0)
 {
     SPARSEAP_ASSERT(report_ids.empty() || report_ids.size() == fa.size(),
                     "one report id per state");
@@ -57,6 +60,9 @@ ExecCore::reset(const Bitset256 &input_alphabet,
 {
     input_alphabet_ = input_alphabet;
     profiler_ = profiler;
+    if (lookahead_ == Lookahead::TwoSymbols && !profiler &&
+        continuation_.empty())
+        continuation_ = fa_.continuationFolds();
 
     std::fill(status_.begin(), status_.end(), Status::Normal);
     std::fill(mark_.begin(), mark_.end(), 0u);
@@ -66,6 +72,7 @@ ExecCore::reset(const Bitset256 &input_alphabet,
     for (auto &bucket : perm_table_)
         bucket.clear();
     perm_next_.fill(Bitset256());
+    perm_fold2_.fill(0);
     permanent_count_ = 0;
     permanent_states_.clear();
     latched_pending_.clear();
@@ -104,26 +111,33 @@ ExecCore::makePermanent(GlobalStateId s)
         latched_pending_.push_back(s);
     } else {
         status_[s] = Status::Permanent;
-        // The bytes an activation of s can act on at the next symbol:
-        // its successors' symbols, or every byte when s reports or a
-        // successor latches.
+        // The bytes an activation of s can act on at the next symbol
+        // (its successors' symbols) and the fold of those they can
+        // carry on to at the symbol after (their continuation folds);
+        // every byte when s reports or a successor latches.
         Bitset256 next = Bitset256::all();
+        uint64_t second = kAllFold;
         if (!fa_.reporting(s)) {
             next = Bitset256();
+            second = continuation_.empty() ? kAllFold : 0;
             for (GlobalStateId t : fa_.successors(s)) {
                 if (latches(t)) {
                     next = Bitset256::all();
+                    second = kAllFold;
                     break;
                 }
                 next |= fa_.symbols(t);
+                if (!continuation_.empty())
+                    second |= continuation_[t];
             }
         }
-        const uint64_t fold = fold64(next);
+        const Dispatch entry{s, next.fold64(), second};
         const Bitset256 accepted = input_alphabet_ & fa_.symbols(s);
         forEachSetBit(std::span<const uint64_t>(accepted.words),
                       [&](size_t b) {
-                          perm_table_[b].push_back({s, fold});
+                          perm_table_[b].push_back(entry);
                           perm_next_[b] |= next;
+                          perm_fold2_[b] |= second;
                       });
     }
 }
@@ -192,15 +206,36 @@ ExecCore::enableState(GlobalStateId s)
     }
 }
 
-template <bool kLookahead>
 void
-ExecCore::enableForNext(GlobalStateId t, uint8_t next)
+ExecCore::setEpochForTesting(uint32_t epoch)
+{
+    SPARSEAP_ASSERT(epoch != 0 && epoch < kWrapEpoch, "epoch ", epoch,
+                    " out of range");
+    renumberEpoch(epoch);
+}
+
+void
+ExecCore::renumberEpoch(uint32_t epoch)
+{
+    std::fill(mark_.begin(), mark_.end(), 0u);
+    epoch_ = epoch;
+    for (GlobalStateId s : enabled_)
+        mark_[s] = epoch;
+}
+
+template <int kDepth>
+void
+ExecCore::enableForNext(GlobalStateId t, uint8_t next, uint8_t next2)
 {
     if (status_[t] != Status::Normal)
         return;
-    // Dropped when it can neither activate on the next byte nor latch,
-    // and then without a mark (see the file comment).
-    if (kLookahead && !fa_.symbols(t).test(next) && !latches(t))
+    // Dropped, without a mark (see the file comment), unless it latches
+    // or it accepts the next byte and (two symbols) its continuation
+    // fold holds the byte after.
+    if (kDepth > 0 &&
+        !(fa_.symbols(t).test(next) &&
+          (kDepth == 1 || foldHolds(continuation_[t], next2))) &&
+        !latches(t))
         return;
     const uint32_t next_epoch = epoch_ + 1;
     if (mark_[t] != next_epoch) {
@@ -215,15 +250,15 @@ ExecCore::enableForNext(GlobalStateId t, uint8_t next)
     }
 }
 
-template <bool kLookahead>
+template <int kDepth>
 void
 ExecCore::activate(GlobalStateId s, uint64_t position,
-                   ReportList *reports, uint8_t next)
+                   ReportList *reports, uint8_t next, uint8_t next2)
 {
     if (fa_.reporting(s) && reports)
         reports->push_back({position, reportId(s)});
     for (GlobalStateId t : fa_.successors(s))
-        enableForNext<kLookahead>(t, next);
+        enableForNext<kDepth>(t, next, next2);
 }
 
 void
@@ -254,19 +289,22 @@ ExecCore::flushPending()
 
 void
 ExecCore::step(uint8_t symbol, uint64_t position, ReportList *reports,
-               int next)
+               int next, int next2)
 {
     if (next == kNoLookahead || profiler_)
-        stepWith<false>(symbol, position, reports, 0);
+        stepWith<0>(symbol, position, reports, 0, 0);
+    else if (next2 == kNoLookahead || continuation_.empty())
+        stepWith<1>(symbol, position, reports, static_cast<uint8_t>(next),
+                    0);
     else
-        stepWith<true>(symbol, position, reports,
-                       static_cast<uint8_t>(next));
+        stepWith<2>(symbol, position, reports, static_cast<uint8_t>(next),
+                    static_cast<uint8_t>(next2));
 }
 
-template <bool kLookahead>
+template <int kDepth>
 void
 ExecCore::stepWith(uint8_t symbol, uint64_t position, ReportList *reports,
-                   uint8_t next)
+                   uint8_t next, uint8_t next2)
 {
     expandLatched();
 
@@ -281,20 +319,24 @@ ExecCore::stepWith(uint8_t symbol, uint64_t position, ReportList *reports,
 
     for (const Dispatch &d : perm_table_[symbol]) {
         // A non-reporting entry none of whose successors can take the
-        // next byte or latch would enqueue nothing.
-        if (kLookahead && ((d.successorFold >> (next & 63)) & 1) == 0)
+        // next byte (or carry on to the byte after) or latch would
+        // enqueue nothing.
+        if (kDepth > 0 && !foldHolds(d.successorFold, next))
             continue;
-        activate<kLookahead>(d.state, position, reports, next);
+        if (kDepth == 2 && !foldHolds(d.secondFold, next2))
+            continue;
+        activate<kDepth>(d.state, position, reports, next, next2);
     }
 
     for (GlobalStateId s : enabled_) {
         // A state may have become permanent while queued.
         if (status_[s] == Status::Normal && fa_.symbols(s).test(symbol))
-            activate<kLookahead>(s, position, reports, next);
+            activate<kDepth>(s, position, reports, next, next2);
     }
 
     enabled_.swap(next_enabled_);
-    ++epoch_;
+    if (++epoch_ == kWrapEpoch)
+        renumberEpoch(1);
     flushPending();
 }
 

@@ -38,6 +38,25 @@
  * the unfiltered one: activations, their order and the reports are
  * unchanged.
  *
+ * Two-symbol lookahead. A caller that also knows the byte after next
+ * (s[j+2] at step j) passes it too, to a core built with
+ * Lookahead::TwoSymbols. A successor t is then enqueued only when it
+ * latches, or when it accepts s[j+1] and its continuation fold C(t)
+ * (FlatAutomaton::continuationFolds) holds s[j+2]. C(t) folds t's
+ * successors' symbol sets, and is all ones when t reports or a
+ * successor of t has a self-loop. A dropped t would fire on s[j+1] and
+ * then step with s[j+2] as its lookahead, and that step would report
+ * nothing (t does not report), promote nothing (no successor latches:
+ * latching needs a self-loop) and enqueue nothing (no successor accepts
+ * s[j+2]). So dropping it leaves no trace, by the next-symbol argument
+ * one step earlier, and the surviving list is again a subsequence of
+ * the unfiltered one. The self-loop rule stands in for latching:
+ * latching depends on the stream's alphabet and a self-loop does not,
+ * so one fold per automaton serves every alphabet. Each dispatch entry
+ * also carries secondFold, the OR of its successors' C(t) (all ones
+ * when it reports or has a latching successor), tested after its
+ * successorFold.
+ *
  * Quiet steps. Behind a latched `.*` gap most symbols change nothing:
  * the gap keeps its successors dispatched, and none of those the symbol
  * fires has a successor that takes the next byte. quiet(symbol, next)
@@ -49,15 +68,21 @@
  *    successor symbol sets of the permanent entries accepting the
  *    symbol (all 256 bytes once one of them reports or has a latching
  *    successor: the exact set behind each entry's fold).
- * A lookahead step on such a symbol reports nothing, expands no latched
+ * quiet(symbol, next, next2) also holds, under the same list
+ * conditions, when next2's bit is clear in perm_fold2_[symbol], the OR
+ * of the bucket's secondFolds: the two-symbol step would skip every
+ * entry. Either way the step reports nothing, expands no latched
  * state, walks no dynamic state and filters every successor it meets:
  * it is a filtered step that leaves no trace, and changes only the
  * epoch. The caller skips it (EngineSession counts it in
  * SessionStats::quietSteps). The epoch may stand still because the only
  * marks equal to the upcoming epoch are the dynamic list's, which is
- * empty, so every mark is older whether the step runs or not. The test
- * needs the next byte, so a chunk's last symbol still steps, without
- * lookahead, and saveState() only ever sees complete lists.
+ * empty, so every mark is older whether the step runs or not.
+ *
+ * The chunk's tail. A two-symbol step at j relies on step j + 1
+ * filtering with s[j+2], so callers step with two symbols only while
+ * j + 2 < n, with one at j + 2 == n, and with none on a chunk's last
+ * symbol, where the stream may suspend.
  *
  * Invariant: lists built by a filtered step are incomplete, so
  * snapshotEnabled() and saveState() may only see lists built by
@@ -70,6 +95,12 @@
  * decisions are simulated statistics of the fabric, and
  * a run with a HotStateProfiler attached ignores the lookahead because
  * a profile records every *enabled* state, filtered or not.
+ *
+ * Epochs. A step marks the states it enqueues with the upcoming epoch
+ * and compares marks for equality, so the 32-bit counter must never
+ * reach the value a never-enabled state carries (0). Before a step
+ * would mark with 0, the core clears every mark and renumbers the
+ * upcoming dynamic list as epoch 1.
  */
 
 #ifndef SPARSEAP_SIM_EXEC_CORE_H
@@ -91,8 +122,17 @@ class HotStateProfiler;
 class ExecCore
 {
   public:
-    /** step()'s @p next when the caller does not know the next byte. */
+    /** step()'s @p next or @p next2 when the caller does not know it. */
     static constexpr int kNoLookahead = -1;
+
+    /** How far step() may look ahead (see the file comment). */
+    enum class Lookahead : uint8_t {
+        /** The next byte at most; @p next2 is ignored. */
+        OneSymbol,
+        /** Also the byte after next: reset() without a profiler fetches
+         *  the automaton's continuation folds. */
+        TwoSymbols,
+    };
 
     /**
      * @param report_ids the id each state reports under (one per state
@@ -101,7 +141,8 @@ class ExecCore
      *        by reference, like @p fa: both must outlive the core.
      */
     explicit ExecCore(const FlatAutomaton &fa,
-                      std::span<const GlobalStateId> report_ids = {});
+                      std::span<const GlobalStateId> report_ids = {},
+                      Lookahead lookahead = Lookahead::OneSymbol);
 
     /** The automaton this core steps. */
     const FlatAutomaton &automaton() const { return fa_; }
@@ -144,9 +185,13 @@ class ExecCore
      *        enqueued. The enabled list is then incomplete until the next
      *        step (see the file comment); ignored while a profiler is
      *        attached.
+     * @param next2 the byte at position + 2 when the caller knows it and
+     *        will step position + 1 with it as @p next: a successor is
+     *        enqueued only if its continuation fold holds it too (or it
+     *        latches). Ignored without @p next or Lookahead::TwoSymbols.
      */
     void step(uint8_t symbol, uint64_t position, ReportList *reports,
-              int next = kNoLookahead);
+              int next = kNoLookahead, int next2 = kNoLookahead);
 
     /**
      * True when step(@p symbol, ..., @p next) would change nothing but
@@ -156,9 +201,15 @@ class ExecCore
     bool
     quiet(uint8_t symbol, uint8_t next) const
     {
-        return enabled_.empty() && latched_reporting_.empty() &&
-               latched_pending_.empty() && pending_permanent_.empty() &&
-               profiler_ == nullptr && !perm_next_[symbol].test(next);
+        return onlyDispatchActs() && !perm_next_[symbol].test(next);
+    }
+
+    /** quiet() for step(@p symbol, ..., @p next, @p next2). */
+    bool
+    quiet(uint8_t symbol, uint8_t next, uint8_t next2) const
+    {
+        return onlyDispatchActs() && (!perm_next_[symbol].test(next) ||
+                                      !foldHolds(perm_fold2_[symbol], next2));
     }
 
     /** Compute the set of distinct bytes in @p input. */
@@ -217,6 +268,13 @@ class ExecCore
     void restoreState(const Bitset256 &input_alphabet,
                       const Snapshot &snap);
 
+    /**
+     * Test hook: renumber the upcoming step as @p epoch (in [1, 2^32 -
+     * 2]), keeping the dynamic list, so a test reaches the 32-bit wrap
+     * without stepping 2^32 symbols.
+     */
+    void setEpochForTesting(uint32_t epoch);
+
   private:
     enum class Status : uint8_t {
         Normal,    ///< ordinary dynamic state
@@ -228,23 +286,47 @@ class ExecCore
      *  (bit b & 63) of its successors' symbol sets; all ones for a
      *  reporting state, which must activate to report, and for one
      *  with a latching successor. perm_next_ keeps the same sets
-     *  exact, per bucket. */
+     *  exact, per bucket. secondFold is the OR of the successors'
+     *  continuation folds, all ones in the same two cases (and while
+     *  the core has no folds). */
     struct Dispatch
     {
         GlobalStateId state;
         uint64_t successorFold;
+        uint64_t secondFold;
     };
 
-    template <bool kLookahead>
+    /** Bit @p byte & 63 of the 64-bit fold @p fold. */
+    static bool
+    foldHolds(uint64_t fold, uint8_t byte)
+    {
+        return (fold >> (byte & 63)) & 1;
+    }
+
+    /** Nothing but the dispatch table can act on the upcoming step:
+     *  the dynamic, latched-reporting and pending lists are empty and
+     *  no profiler is attached. */
+    bool
+    onlyDispatchActs() const
+    {
+        return enabled_.empty() && latched_reporting_.empty() &&
+               latched_pending_.empty() && pending_permanent_.empty() &&
+               profiler_ == nullptr;
+    }
+
+    /** kDepth: the symbols of lookahead the step uses (0, 1 or 2). */
+    template <int kDepth>
     void stepWith(uint8_t symbol, uint64_t position, ReportList *reports,
-                  uint8_t next);
-    template <bool kLookahead>
+                  uint8_t next, uint8_t next2);
+    template <int kDepth>
     void activate(GlobalStateId s, uint64_t position, ReportList *reports,
-                  uint8_t next);
-    template <bool kLookahead>
-    void enableForNext(GlobalStateId t, uint8_t next);
+                  uint8_t next, uint8_t next2);
+    template <int kDepth>
+    void enableForNext(GlobalStateId t, uint8_t next, uint8_t next2);
     void makePermanent(GlobalStateId s);
     bool universal(GlobalStateId s) const;
+    /** Clear every mark and mark the dynamic list with @p epoch. */
+    void renumberEpoch(uint32_t epoch);
 
     GlobalStateId
     reportId(GlobalStateId s) const
@@ -271,6 +353,10 @@ class ExecCore
 
     const FlatAutomaton &fa_;
     std::span<const GlobalStateId> report_ids_;
+    const Lookahead lookahead_;
+    /** The automaton's continuation folds once a TwoSymbols core has
+     *  been reset without a profiler; empty until then. */
+    std::span<const uint64_t> continuation_;
     Bitset256 input_alphabet_;
     HotStateProfiler *profiler_ = nullptr;
 
@@ -290,6 +376,9 @@ class ExecCore
      *  union of their successor sets (every byte for an entry that
      *  reports or has a latching successor). quiet() tests it. */
     std::array<Bitset256, 256> perm_next_;
+    /** Per bucket, the OR of its entries' secondFolds. quiet() tests
+     *  it against the byte after next. */
+    std::array<uint64_t, 256> perm_fold2_{};
     size_t permanent_count_ = 0;
     /** Every permanently-enabled state (Permanent or Latched), in the
      *  order it was promoted — so snapshotEnabled doesn't scan all N

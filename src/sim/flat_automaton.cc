@@ -559,4 +559,30 @@ FlatAutomaton::denseView() const
     return *dense_;
 }
 
+std::span<const uint64_t>
+FlatAutomaton::continuationFolds() const
+{
+    std::call_once(continuation_once_, [this] {
+        constexpr uint64_t kAll = ~uint64_t{0};
+        const size_t n = size();
+        std::vector<uint8_t> self_loop(n, 0);
+        for (GlobalStateId s = 0; s < n; ++s) {
+            const auto succ = successors(s);
+            self_loop[s] = std::find(succ.begin(), succ.end(), s) !=
+                           succ.end();
+        }
+        continuation_.assign(n, 0);
+        for (GlobalStateId t = 0; t < n; ++t) {
+            uint64_t fold = reporting(t) ? kAll : 0;
+            for (GlobalStateId u : successors(t)) {
+                if (fold == kAll)
+                    break;
+                fold |= self_loop[u] ? kAll : symbols(u).fold64();
+            }
+            continuation_[t] = fold;
+        }
+    });
+    return continuation_;
+}
+
 } // namespace sparseap

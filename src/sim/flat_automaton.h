@@ -372,6 +372,17 @@ class FlatAutomaton
     const DenseView &denseView() const;
 
     /**
+     * Continuation folds, derived on first use (thread-safe, then
+     * immutable; never stored), 8 bytes per state: C(t) is the 64-bit
+     * fold (bit b & 63) of t's successors' symbol sets, or all ones when
+     * t reports or a successor of t has a self-loop. The sparse core's
+     * two-symbol lookahead (sim/exec_core.h) reads them; no other
+     * caller derives them. The self-loop rule, unlike latching, does not
+     * depend on the stream's alphabet, so one array serves every stream.
+     */
+    std::span<const uint64_t> continuationFolds() const;
+
+    /**
      * Hot-set DFA (sim/hot_dfa.h), determinized on first call under the
      * default HotDfa::Limits budgets. Exactly one
      * construction attempt per automaton: the result — including a null
@@ -512,6 +523,9 @@ class FlatAutomaton
 
     mutable std::once_flag dense_once_;
     mutable std::unique_ptr<DenseView> dense_;
+
+    mutable std::once_flag continuation_once_;
+    mutable std::vector<uint64_t> continuation_;
 
     /** One-shot slot: `ready` (acquire/release) publishes `value`,
      *  which may be empty — a budget bailout, or no decision. */

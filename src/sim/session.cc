@@ -33,6 +33,34 @@ countChunks(uint64_t n)
     chunks.add(n);
 }
 
+/**
+ * Step @p core on chunk[j] at stream position @p position, or not at
+ * all when it proves the step quiet: with two symbols of lookahead while
+ * j + 2 < n, one at j + 2 == n, and none on the chunk's last symbol,
+ * where the stream may suspend (sim/exec_core.h). Forced inline: it is
+ * the per-symbol body of the sparse and split loops.
+ *
+ * @return true when the step was skipped as quiet
+ */
+__attribute__((always_inline)) inline bool
+stepSparse(ExecCore &core, std::span<const uint8_t> chunk, size_t j,
+           uint64_t position, ReportList *reports)
+{
+    const size_t n = chunk.size();
+    if (j + 2 < n) {
+        if (core.quiet(chunk[j], chunk[j + 1], chunk[j + 2]))
+            return true;
+        core.step(chunk[j], position, reports, chunk[j + 1], chunk[j + 2]);
+    } else if (j + 1 < n) {
+        if (core.quiet(chunk[j], chunk[j + 1]))
+            return true;
+        core.step(chunk[j], position, reports, chunk[j + 1]);
+    } else {
+        core.step(chunk[j], position, reports);
+    }
+    return false;
+}
+
 } // namespace
 
 EngineSession::EngineSession(const FlatAutomaton &fa)
@@ -65,7 +93,8 @@ EngineSession::sparseCore(const FlatAutomaton &fa,
                           std::span<const GlobalStateId> report_ids)
 {
     if (!core_ || &core_->automaton() != &fa)
-        core_ = std::make_unique<ExecCore>(fa, report_ids);
+        core_ = std::make_unique<ExecCore>(fa, report_ids,
+                                           ExecCore::Lookahead::TwoSymbols);
     return *core_;
 }
 
@@ -199,28 +228,20 @@ EngineSession::feedTable(std::span<const uint8_t> chunk)
     uint32_t state = dfa_state_;
     uint64_t quiet = 0;
     // One symbol: the table step and its reports, then — split only —
-    // the cold core's step (a no-op while idle, so skipped), with the
-    // next byte as lookahead except at the chunk's end, where the
-    // stream may suspend, and skipped too when the core proves it quiet
-    // for that byte; then the new DFA state's hot→cold enables for the
-    // next symbol. The cold core steps the merged automaton and emits
-    // its reports under original ids (sparseCore). Hot reports precede
-    // cold ones within a position. Forced inline: an outlined call
-    // keeps `state` in memory and costs the DFA loop ~10%.
+    // the cold core's step (a no-op while idle, so skipped) by
+    // stepSparse's lookahead and quiet rules; then the new DFA state's
+    // hot→cold enables for the next symbol. The cold core steps the
+    // merged automaton and emits its reports under original ids
+    // (sparseCore). Hot reports precede cold ones within a position.
+    // Forced inline: an outlined call keeps `state` in memory and costs
+    // the DFA loop ~10%.
     auto step = [&](size_t j) __attribute__((always_inline)) {
         state = dfa.next(state, chunk[j]);
         for (GlobalStateId id : dfa.reportsOf(state))
             reports_.push_back({offset_ + j, id});
         if constexpr (kSplit) {
-            if (!core_->idle()) {
-                if (j + 1 == n)
-                    core_->step(chunk[j], offset_ + j, &reports_);
-                else if (core_->quiet(chunk[j], chunk[j + 1]))
-                    ++quiet;
-                else
-                    core_->step(chunk[j], offset_ + j, &reports_,
-                                chunk[j + 1]);
-            }
+            if (!core_->idle())
+                quiet += stepSparse(*core_, chunk, j, offset_ + j, &reports_);
             for (GlobalStateId s : dfa.coldEnables(state))
                 core_->enableState(s);
         }
@@ -282,20 +303,10 @@ EngineSession::feed(std::span<const uint8_t> chunk)
     case Phase::Undecided:
         break;
     case Phase::Sparse: {
-        // Every symbol but the chunk's last (where the stream may
-        // suspend) steps with the next byte as lookahead, or not at all
-        // when the core proves it quiet for that byte.
         ExecCore &core = *core_;
         uint64_t quiet = 0;
-        size_t i = 0;
-        for (; i + 1 < n; ++i) {
-            if (core.quiet(chunk[i], chunk[i + 1]))
-                ++quiet;
-            else
-                core.step(chunk[i], offset_ + i, &reports_, chunk[i + 1]);
-        }
-        if (i < n)
-            core.step(chunk[i], offset_ + i, &reports_);
+        for (size_t i = 0; i < n; ++i)
+            quiet += stepSparse(core, chunk, i, offset_ + i, &reports_);
         stats_.quietSteps += quiet;
         break;
     }

@@ -42,10 +42,12 @@
  * plus its cold core's ordered lists — so a stream can be parked,
  * migrated to another EngineSession (or another process: the BFS
  * numbering of both DFAs is deterministic) and continued
- * byte-identically. The sparse core steps with the next byte as
- * lookahead wherever feed() knows it, and not at all where
- * ExecCore::quiet() proves that step idle, except on a chunk's last
- * symbol, so every snapshot sees complete lists (sim/exec_core.h).
+ * byte-identically. The sparse core steps with the next two bytes as
+ * lookahead wherever the chunk holds them, with the one next byte on
+ * the chunk's second-to-last symbol, and not at all where
+ * ExecCore::quiet() proves that step idle; the chunk's last symbol
+ * steps without lookahead, so every snapshot sees complete lists
+ * (sim/exec_core.h).
  *
  * Many streams share one automaton through MatchService::feedMany: the
  * streams of one request that run on the DFA table advance together via
@@ -112,8 +114,9 @@ struct SessionStats
     uint64_t skippedSymbols = 0;
     /** Skip scans that advanced the cursor. */
     uint64_t skipJumps = 0;
-    /** Symbols whose sparse-core step ExecCore::quiet() proved idle,
-     *  so it was skipped (sparse phase; the split's cold side). */
+    /** Symbols whose sparse-core step ExecCore::quiet() proved idle
+     *  from the next byte or the byte after, so it was skipped (sparse
+     *  phase; the split's cold side). */
     uint64_t quietSteps = 0;
     /** True when the stream executed on the dense core. */
     bool usedDenseCore = false;

@@ -1,5 +1,8 @@
 #include "workloads/inputs.h"
 
+#include <algorithm>
+#include <deque>
+
 #include "common/logging.h"
 
 namespace sparseap {
@@ -57,6 +60,47 @@ synthesizeInput(const InputSpec &spec, size_t bytes, Rng &rng)
         out.push_back(background());
     }
     return out;
+}
+
+std::vector<uint8_t>
+matchingBytes(const Nfa &nfa)
+{
+    std::vector<StateId> parent(nfa.size(), kInvalidState);
+    std::deque<StateId> queue;
+    for (StartKind kind : {StartKind::AllInput, StartKind::StartOfData}) {
+        for (StateId s : nfa.startStates()) {
+            if (nfa.state(s).start == kind) {
+                parent[s] = s;
+                queue.push_back(s);
+            }
+        }
+        if (!queue.empty())
+            break; // start-of-data starts only for an anchored NFA
+    }
+    while (!queue.empty()) {
+        const StateId s = queue.front();
+        queue.pop_front();
+        if (nfa.state(s).reporting) {
+            std::vector<uint8_t> bytes;
+            for (StateId t = s;; t = parent[t]) {
+                uint8_t b = 0;
+                while (b < 255 && !nfa.state(t).symbols.test(b))
+                    ++b;
+                bytes.push_back(b);
+                if (parent[t] == t)
+                    break;
+            }
+            std::reverse(bytes.begin(), bytes.end());
+            return bytes;
+        }
+        for (StateId next : nfa.state(s).successors) {
+            if (parent[next] == kInvalidState) {
+                parent[next] = s;
+                queue.push_back(next);
+            }
+        }
+    }
+    return {};
 }
 
 } // namespace sparseap

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "nfa/nfa.h"
 
 namespace sparseap {
 
@@ -61,6 +62,16 @@ struct InputSpec
 /** Synthesize @p bytes input bytes from @p spec, deterministically. */
 std::vector<uint8_t> synthesizeInput(const InputSpec &spec, size_t bytes,
                                      Rng &rng);
+
+/**
+ * Bytes that drive @p nfa from an all-input start to a report: one byte
+ * of each state's symbol set along a shortest start→reporting path
+ * (BFS). Planted in an input, they make the input report. An NFA with
+ * no all-input start is searched from its start-of-data starts
+ * instead; plant those bytes at offset 0. Empty when no such path
+ * exists.
+ */
+std::vector<uint8_t> matchingBytes(const Nfa &nfa);
 
 } // namespace sparseap
 

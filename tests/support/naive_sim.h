@@ -25,16 +25,6 @@ ReportList naiveSimulate(const Application &app,
 std::vector<bool> naiveHotSet(const Application &app,
                               std::span<const uint8_t> input);
 
-/**
- * Bytes that drive @p nfa from an all-input start to a report: one byte
- * of each state's symbol set along a shortest start→reporting path
- * (BFS). Planted in an input, they make the input report. An NFA with
- * no all-input start is searched from its start-of-data starts
- * instead; plant those bytes at offset 0. Empty when no such path
- * exists.
- */
-std::vector<uint8_t> matchingBytes(const Nfa &nfa);
-
 } // namespace sparseap::testing
 
 #endif // SPARSEAP_TESTS_SUPPORT_NAIVE_SIM_H

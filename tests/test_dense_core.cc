@@ -138,7 +138,7 @@ TEST(DenseCore, PropertyMatchesSparseOnAllRegisteredWorkloads)
         // 5% scale keeps generation fast while covering every generator.
         Workload w = generateWorkload(entry.abbr, 7, 5);
         const Nfa &first = w.app.nfa(0);
-        const std::vector<uint8_t> match = testing::matchingBytes(first);
+        const std::vector<uint8_t> match = matchingBytes(first);
         ASSERT_FALSE(match.empty()) << entry.abbr;
         // Room for two plants of CAV4k's long signatures.
         size_t bytes = std::max<size_t>(1536, 2 * match.size() + 300);

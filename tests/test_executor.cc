@@ -220,7 +220,7 @@ TEST(Executor, MergedReportsEqualFullySortedList)
             size_t at = len / 2;
             for (uint32_t ni = 0; ni < w.app.nfaCount() && ni < 40; ++ni) {
                 const std::vector<uint8_t> m =
-                    testing::matchingBytes(w.app.nfa(ni));
+                    matchingBytes(w.app.nfa(ni));
                 if (m.empty() || at + m.size() > len)
                     continue;
                 std::copy(m.begin(), m.end(), input.begin() + at);

@@ -31,7 +31,6 @@
 
 using namespace sparseap;
 using namespace sparseap::serve;
-using sparseap::testing::matchingBytes;
 
 namespace {
 

@@ -150,7 +150,7 @@ struct TestDaemon
             names.push_back(abbr);
             inputs.push_back(
                 synthesizeInput(w.input, input_bytes, rng));
-            matches.push_back(sparseap::testing::matchingBytes(w.app.nfa(0)));
+            matches.push_back(sparseap::matchingBytes(w.app.nfa(0)));
         }
     }
 

@@ -280,18 +280,22 @@ TEST(Session, ResumedStreamReportsSixtyFourBitPositions)
  * Random automata, random chunk partitions: chunked == whole, and the
  * sorted reports equal the naive simulator's (Engine::run takes the
  * same next-symbol lookahead and quiet steps as the chunked run, so it
- * is no oracle for them). The last 16 trials use small symbol sets over
+ * is no oracle for them). Trials 24 on use small symbol sets over
  * a wider alphabet, few wildcards and few reporting states, with every
  * NFA's matchingBytes planted, so that the sparse core often has
  * nothing to do: their sparse and auto trials must take quiet steps
- * and report.
+ * and report. Trials 40 on also draw half their chunks from 1, 2 and 3
+ * bytes, so the two-symbol lookahead's chunk-tail rule (one byte of
+ * lookahead on the second-to-last symbol, none on the last) runs under
+ * the oracle on nearly every symbol.
  */
 TEST(Session, RandomizedChunkBoundaryDifferential)
 {
     Rng rng(20260813);
-    size_t quiet_trials = 0;
-    for (int trial = 0; trial < 40; ++trial) {
+    size_t quiet_trials = 0, short_chunk_quiet_trials = 0;
+    for (int trial = 0; trial < 56; ++trial) {
         const bool sparse_symbols = trial >= 24;
+        const bool short_chunks = trial >= 40;
         testing::RandomNfaParams params;
         params.backEdgeProb = 0.3;
         params.reportProb = 0.3;
@@ -310,7 +314,7 @@ TEST(Session, RandomizedChunkBoundaryDifferential)
         if (sparse_symbols) {
             std::vector<std::vector<uint8_t>> matches;
             for (const Nfa &nfa : app.nfas())
-                matches.push_back(testing::matchingBytes(nfa));
+                matches.push_back(matchingBytes(nfa));
             testing::plantMatches(app, matches, rng, &input);
         }
         FlatAutomaton fa(app);
@@ -342,7 +346,9 @@ TEST(Session, RandomizedChunkBoundaryDifferential)
                 migrated = true;
             }
             const size_t take = std::min<size_t>(
-                1 + rng.index(97), input.size() - i);
+                short_chunks && rng.chance(0.5) ? 1 + rng.index(3)
+                                                : 1 + rng.index(97),
+                input.size() - i);
             live->feed(std::span(input).subspan(i, take));
             i += take;
         }
@@ -353,13 +359,17 @@ TEST(Session, RandomizedChunkBoundaryDifferential)
         std::sort(got.begin(), got.end());
         EXPECT_EQ(got, testing::naiveSimulate(app, input))
             << "trial " << trial << " mode " << engineModeName(mode);
-        quiet_trials +=
-            live->stats().quietSteps > 0 && !got.empty() ? 1 : 0;
+        const bool quiet = live->stats().quietSteps > 0 && !got.empty();
+        quiet_trials += quiet ? 1 : 0;
+        short_chunk_quiet_trials += quiet && short_chunks ? 1 : 0;
     }
-    // The oracle covers the sparse core's quiet steps.
-    std::printf("%zu of 40 trials took quiet steps and reported\n",
-                quiet_trials);
-    EXPECT_GE(quiet_trials, 4u);
+    // The oracle covers the sparse core's quiet steps, and with short
+    // chunks the lookahead's chunk-tail rule.
+    std::printf("%zu of 56 trials took quiet steps and reported, %zu of "
+                "them with short chunks\n",
+                quiet_trials, short_chunk_quiet_trials);
+    EXPECT_GE(quiet_trials, 6u);
+    EXPECT_GE(short_chunk_quiet_trials, 2u);
 }
 
 /**
@@ -727,7 +737,7 @@ TEST(Session, PropertyOneDecisionPerAutomaton)
             app = testing::randomApplication(rng, 32 + rng.index(12),
                                              params);
             for (const Nfa &nfa : app.nfas())
-                matches.push_back(testing::matchingBytes(nfa));
+                matches.push_back(matchingBytes(nfa));
         }
         FlatAutomaton fa(app);
         ASSERT_GE(fa.size(), Engine::kMinDenseStates);
